@@ -17,12 +17,13 @@ using geometry::SpatialObject;
 using zorder::GridSpec;
 using zorder::ZValue;
 
-// Shared recursive core. Emit is called with elements in z order.
+// Shared recursive core. `box` is `region`'s extent, carried down from the
+// parent (ChildBox). Emit is called with elements in z order.
 template <typename Emit>
 void DecomposeRecursive(const GridSpec& grid, const SpatialObject& object,
                         const DecomposeOptions& options, const ZValue& region,
-                        int depth_cap, DecomposeStats* stats, Emit&& emit) {
-  const GridBox box(UnshuffleRegion(grid, region));
+                        const GridBox& box, int depth_cap,
+                        DecomposeStats* stats, Emit&& emit) {
   if (stats != nullptr) ++stats->classify_calls;
   switch (object.Classify(box)) {
     case RegionClass::kOutside:
@@ -44,21 +45,32 @@ void DecomposeRecursive(const GridSpec& grid, const SpatialObject& object,
         }
         return;
       }
-      DecomposeRecursive(grid, object, options, region.Child(0), depth_cap,
-                         stats, emit);
-      DecomposeRecursive(grid, object, options, region.Child(1), depth_cap,
-                         stats, emit);
+      for (int bit = 0; bit <= 1; ++bit) {
+        DecomposeRecursive(grid, object, options, region.Child(bit),
+                           ChildBox(grid, region, box, bit), depth_cap, stats,
+                           emit);
+      }
       return;
   }
 }
+
+// Decomposes from the root region (the whole grid).
+template <typename Emit>
+void DecomposeAll(const GridSpec& grid, const SpatialObject& object,
+                  const DecomposeOptions& options, DecomposeStats* stats,
+                  Emit&& emit) {
+  DecomposeRecursive(grid, object, options, ZValue(),
+                     GridBox(UnshuffleRegion(grid, ZValue())),
+                     EffectiveDepthCap(grid, options), stats, emit);
+}
+
+}  // namespace
 
 int EffectiveDepthCap(const GridSpec& grid, const DecomposeOptions& options) {
   if (options.max_depth < 0) return grid.total_bits();
   return options.max_depth < grid.total_bits() ? options.max_depth
                                                : grid.total_bits();
 }
-
-}  // namespace
 
 std::vector<ZValue> Decompose(const GridSpec& grid,
                               const SpatialObject& object,
@@ -67,9 +79,8 @@ std::vector<ZValue> Decompose(const GridSpec& grid,
   assert(grid.Valid());
   assert(object.dims() == grid.dims);
   std::vector<ZValue> elements;
-  DecomposeRecursive(grid, object, options, ZValue(),
-                     EffectiveDepthCap(grid, options), stats,
-                     [&](const ZValue& z, bool) { elements.push_back(z); });
+  DecomposeAll(grid, object, options, stats,
+               [&](const ZValue& z, bool) { elements.push_back(z); });
   PROBE_AUDIT(AuditDecomposition(grid, elements));
   return elements;
 }
@@ -81,11 +92,10 @@ std::vector<TaggedElement> DecomposeTagged(const GridSpec& grid,
   assert(grid.Valid());
   assert(object.dims() == grid.dims);
   std::vector<TaggedElement> elements;
-  DecomposeRecursive(grid, object, options, ZValue(),
-                     EffectiveDepthCap(grid, options), stats,
-                     [&](const ZValue& z, bool boundary) {
-                       elements.push_back(TaggedElement{z, boundary});
-                     });
+  DecomposeAll(grid, object, options, stats,
+               [&](const ZValue& z, bool boundary) {
+                 elements.push_back(TaggedElement{z, boundary});
+               });
   return elements;
 }
 
@@ -107,9 +117,8 @@ std::vector<ZValue> DecomposeBox(const GridSpec& grid, const GridBox& box,
 uint64_t CountElements(const GridSpec& grid, const SpatialObject& object,
                        const DecomposeOptions& options) {
   uint64_t count = 0;
-  DecomposeRecursive(grid, object, options, ZValue(),
-                     EffectiveDepthCap(grid, options), nullptr,
-                     [&](const ZValue&, bool) { ++count; });
+  DecomposeAll(grid, object, options, nullptr,
+               [&](const ZValue&, bool) { ++count; });
   return count;
 }
 

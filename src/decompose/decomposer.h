@@ -37,6 +37,12 @@ struct DecomposeOptions {
   bool include_boundary = true;
 };
 
+/// The z-value length past which a decomposition under `options` stops
+/// splitting: options.max_depth clamped to grid.total_bits(), or full
+/// resolution when max_depth is negative.
+int EffectiveDepthCap(const zorder::GridSpec& grid,
+                      const DecomposeOptions& options);
+
 /// Statistics from one decomposition run.
 struct DecomposeStats {
   /// Elements emitted.
@@ -46,6 +52,29 @@ struct DecomposeStats {
   /// Elements that were boundary-crossing regions at the depth cap.
   uint64_t boundary_elements = 0;
 };
+
+/// The box of `region.Child(bit)`, given `box`, the box of `region`: the
+/// parent halved along the dimension that split number region.length()
+/// consumes (bit 0 keeps the lower half). Both the eager and the lazy
+/// decomposition track each region's box this way, parent to child, so
+/// classifying a region never unshuffles its z value; the result equals
+/// UnshuffleRegion(grid, region.Child(bit)) because every region is an
+/// aligned power-of-two block.
+inline geometry::GridBox ChildBox(const zorder::GridSpec& grid,
+                                  const zorder::ZValue& region,
+                                  const geometry::GridBox& box, int bit) {
+  const int dim = grid.SplitDimAt(region.length());
+  zorder::DimRange r = box.range(dim);
+  const uint32_t mid = r.lo + (r.hi - r.lo) / 2;
+  if (bit == 0) {
+    r.hi = mid;
+  } else {
+    r.lo = mid + 1;
+  }
+  geometry::GridBox child = box;
+  child.set_range(dim, r);
+  return child;
+}
 
 /// Decomposes `object` into elements, in z order. `stats` may be null.
 std::vector<zorder::ZValue> Decompose(const zorder::GridSpec& grid,

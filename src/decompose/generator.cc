@@ -7,17 +7,6 @@
 
 namespace probe::decompose {
 
-namespace {
-
-int EffectiveDepthCap(const zorder::GridSpec& grid,
-                      const DecomposeOptions& options) {
-  if (options.max_depth < 0) return grid.total_bits();
-  return options.max_depth < grid.total_bits() ? options.max_depth
-                                               : grid.total_bits();
-}
-
-}  // namespace
-
 ElementGenerator::ElementGenerator(const zorder::GridSpec& grid,
                                    const geometry::SpatialObject& object,
                                    const DecomposeOptions& options)
@@ -27,7 +16,12 @@ ElementGenerator::ElementGenerator(const zorder::GridSpec& grid,
       depth_cap_(EffectiveDepthCap(grid, options)) {
   assert(grid_.Valid());
   assert(object_.dims() == grid_.dims);
-  stack_.push_back(zorder::ZValue());  // the whole space
+  // Depth-first, both children pushed per split: at most one pending
+  // sibling per level above the deepest, two at it.
+  stack_.reserve(static_cast<size_t>(depth_cap_) + 1);
+  const zorder::ZValue root;  // the whole space
+  stack_.push_back(
+      Pending{root, geometry::GridBox(UnshuffleRegion(grid_, root))});
 }
 
 bool ElementGenerator::Next(zorder::ZValue* out) { return Advance(0, out); }
@@ -39,7 +33,8 @@ bool ElementGenerator::SeekForward(uint64_t target, zorder::ZValue* out) {
 bool ElementGenerator::Advance(uint64_t target, zorder::ZValue* out) {
   const int total = grid_.total_bits();
   while (!stack_.empty()) {
-    const zorder::ZValue region = stack_.back();
+    const zorder::ZValue region = stack_.back().region;
+    const geometry::GridBox box = stack_.back().box;
     stack_.pop_back();
     // Random-access pruning: if the whole region precedes the target z
     // value, no element inside it is of interest — and no classifier call
@@ -47,7 +42,6 @@ bool ElementGenerator::Advance(uint64_t target, zorder::ZValue* out) {
     // proportional to the query's share of the space (Section 5.3).
     if (target != 0 && region.RangeHi(total) < target) continue;
     ++stats_.classify_calls;
-    const geometry::GridBox box(UnshuffleRegion(grid_, region));
     switch (object_.Classify(box)) {
       case geometry::RegionClass::kOutside:
         continue;
@@ -70,8 +64,10 @@ bool ElementGenerator::Advance(uint64_t target, zorder::ZValue* out) {
           continue;
         }
         // Push child 1 first so child 0 (earlier in z order) pops first.
-        stack_.push_back(region.Child(1));
-        stack_.push_back(region.Child(0));
+        stack_.push_back(
+            Pending{region.Child(1), ChildBox(grid_, region, box, 1)});
+        stack_.push_back(
+            Pending{region.Child(0), ChildBox(grid_, region, box, 0)});
         continue;
     }
   }

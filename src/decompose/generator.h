@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "decompose/decomposer.h"
+#include "geometry/box.h"
 #include "geometry/object.h"
 #include "probe/check.h"
 #include "zorder/grid.h"
@@ -24,9 +25,10 @@ namespace probe::decompose {
 
 /// Streams the elements of a decomposition in z order, lazily.
 ///
-/// The generator holds a stack of unexplored regions (z-value prefixes);
-/// regions are classified only when reached, so a merge that skips most of
-/// the object also skips most of the classification work.
+/// The generator holds a stack of unexplored regions (z-value prefixes,
+/// each with its box); regions are classified only when reached, so a
+/// merge that skips most of the object also skips most of the
+/// classification work.
 class ElementGenerator {
  public:
   /// The object must outlive the generator.
@@ -55,11 +57,18 @@ class ElementGenerator {
   // entire z range precedes it (pass 0 for plain Next()).
   bool Advance(uint64_t target, zorder::ZValue* out);
 
+  // An unexplored region and its box (derived from the parent's with
+  // ChildBox, so classifying it needs no unshuffle).
+  struct Pending {
+    zorder::ZValue region;
+    geometry::GridBox box;
+  };
+
   const zorder::GridSpec grid_;
   const geometry::SpatialObject& object_;
   const DecomposeOptions options_;
   const int depth_cap_;
-  std::vector<zorder::ZValue> stack_;
+  std::vector<Pending> stack_;
   DecomposeStats stats_;
   // Audit state: emitted elements must be strictly ascending in z order.
   check::ZMonotone emit_order_{/*strict=*/true};

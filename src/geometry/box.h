@@ -55,6 +55,13 @@ class GridBox {
     return ranges_[i];
   }
 
+  /// Replaces the range of dimension `i`. Requires r.lo <= r.hi.
+  void set_range(int i, const zorder::DimRange& r) {
+    assert(i >= 0 && i < dims_);
+    assert(r.lo <= r.hi);
+    ranges_[i] = r;
+  }
+
   std::span<const zorder::DimRange> ranges() const {
     return std::span<const zorder::DimRange>(ranges_.data(), dims_);
   }

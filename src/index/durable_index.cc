@@ -75,6 +75,7 @@ DurableIndex::DurableIndex(const zorder::GridSpec& grid,
   // Recovery happens against the raw file, before any fault injection or
   // logging stacks on top: opening IS recovering.
   recovery_ = storage::Recover(wal_path_, base_.get());
+  if (!recovery_.ok) return;  // recovered state not durable: refuse to open
 
   fault_ = std::make_unique<storage::FaultInjectingPager>(base_.get());
   wal_ = std::make_unique<storage::Wal>(wal_path_);
@@ -136,15 +137,33 @@ void DurableIndex::RegisterEpoch(uint64_t epoch) {
   states_[epoch] = EpochState{index_->DetachState(), txn_->page_count()};
 }
 
+DurableIndex::~DurableIndex() {
+  // The engine-held view reads through txn_ and unpins through this
+  // object: release it while the whole stack is still alive.
+  std::shared_ptr<SnapshotResources> cached;
+  {
+    util::MutexLock lock(&epoch_mutex_);
+    cached.swap(cached_);
+  }
+}
+
 void DurableIndex::Publish(uint64_t epoch) {
+  // A view of a superseded epoch no longer serves new snapshots. Its last
+  // reference may be this one, and its teardown re-enters epoch_mutex_
+  // (ReleasePin), so it is dropped after the lock scope.
+  std::shared_ptr<SnapshotResources> stale;
   {
     util::MutexLock lock(&epoch_mutex_);
     // Group commits complete out of order across threads, but an LSN
     // being durable makes every earlier commit durable too, so raising
     // to the max is exactly "publish everything now durable".
     if (epoch > published_epoch_) published_epoch_ = epoch;
+    if (cached_ != nullptr && cached_->epoch < published_epoch_) {
+      stale.swap(cached_);
+    }
     PruneEpochsLocked();
   }
+  stale.reset();
   util::SchedulePoint("epoch.publish");
 }
 
@@ -182,11 +201,10 @@ bool DurableIndex::Apply(std::span<const Op> ops, uint64_t* epoch_out) {
 
 DurableIndex::Snapshot DurableIndex::CreateSnapshot() {
   std::shared_ptr<SnapshotResources> res;
-  // Holds a stale cached view so it outlives the lock scope below: if a
-  // concurrent reader dropped the last Snapshot after our cached_.lock(),
-  // this reference is the final one, and ~SnapshotResources re-enters
-  // epoch_mutex_ via ReleasePin — destroying it while still holding the
-  // lock would self-deadlock.
+  // Holds a replaced cached view so it outlives the lock scope below: if
+  // no reader still holds it, this reference is the final one, and
+  // ~SnapshotResources re-enters epoch_mutex_ via ReleasePin — destroying
+  // it while still holding the lock would self-deadlock.
   std::shared_ptr<SnapshotResources> stale;
   {
     util::MutexLock lock(&epoch_mutex_);
@@ -194,9 +212,8 @@ DurableIndex::Snapshot DurableIndex::CreateSnapshot() {
     // resolve through; new pins wait for the cut-over.
     while (draining_) epoch_cv_.Wait(&epoch_mutex_);
     const uint64_t epoch = published_epoch_;
-    stale = cached_.lock();
-    if (stale && stale->epoch == epoch) {
-      return Snapshot(std::move(stale));  // share the live view's pin
+    if (cached_ != nullptr && cached_->epoch == epoch) {
+      return Snapshot(cached_);  // share the warm view's pin and pool
     }
     const auto it = states_.find(epoch);
     if (it == states_.end()) return Snapshot();  // engine never opened
@@ -214,6 +231,7 @@ DurableIndex::Snapshot DurableIndex::CreateSnapshot() {
     if (obs::Enabled()) {
       obs::StorageMetrics::Default().snapshot_pins->Set(pin_count_);
     }
+    stale.swap(cached_);
     cached_ = res;
   }
   util::SchedulePoint("snapshot.pin");
@@ -294,10 +312,19 @@ bool DurableIndex::Checkpoint() {
   // The cut-over clears every parked page version, so every snapshot pin
   // must be gone first. New snapshots queue behind draining_; Apply is
   // excluded by apply_mutex_. A snapshot held across this call deadlocks
-  // by contract — release pins before checkpointing.
+  // by contract — release pins before checkpointing. The engine-held view
+  // is taken in the same critical section that raises draining_ (so no
+  // racing CreateSnapshot can re-cache a pin the drain would wait on
+  // forever) and released outside it (its teardown takes epoch_mutex_).
+  std::shared_ptr<SnapshotResources> cached;
   {
     util::MutexLock epochs(&epoch_mutex_);
     draining_ = true;
+    cached.swap(cached_);
+  }
+  cached.reset();
+  {
+    util::MutexLock epochs(&epoch_mutex_);
     while (pin_count_ != 0) epoch_cv_.Wait(&epoch_mutex_);
   }
   const bool committed = txn_->Checkpoint(MetaBlob(txn_->committed_epoch()));

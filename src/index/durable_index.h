@@ -106,8 +106,8 @@ class DurableIndex {
   DurableIndex& operator=(const DurableIndex&) = delete;
 
   /// All Snapshots must be dropped before the index is destroyed (they
-  /// hold raw pointers into the stack).
-  ~DurableIndex() = default;
+  /// hold raw pointers into the stack). Releases the engine-held view.
+  ~DurableIndex();
 
   /// False when the files could not be opened, the stored metadata is
   /// corrupt, or it disagrees with `grid`/config.
@@ -140,10 +140,12 @@ class DurableIndex {
   }
 
   /// Pins the newest published epoch and returns a consistent read view
-  /// of it (see file comment). Thread-safe; cheap when a snapshot of the
-  /// same epoch is already live (they share one view). Blocks while a
-  /// checkpoint is draining. !ok() result only on an engine that never
-  /// opened.
+  /// of it (see file comment). Thread-safe. The index keeps the newest
+  /// view alive itself, so every snapshot of one epoch — concurrent or
+  /// consecutive — shares one view and its warm pool; only the first
+  /// snapshot after a publish or a checkpoint builds a new one. Blocks
+  /// while a checkpoint is draining. !ok() result only on an engine that
+  /// never opened.
   Snapshot CreateSnapshot();
 
   /// Newest published (durable, reader-visible) epoch. The empty-tree
@@ -235,8 +237,13 @@ class DurableIndex {
   std::map<uint64_t, int> pins_ PROBE_GUARDED_BY(epoch_mutex_);
   int pin_count_ PROBE_GUARDED_BY(epoch_mutex_) = 0;
   bool draining_ PROBE_GUARDED_BY(epoch_mutex_) = false;
-  // Live view of the published epoch, shared by concurrent snapshots.
-  std::weak_ptr<SnapshotResources> cached_ PROBE_GUARDED_BY(epoch_mutex_);
+  // The engine-held view of the newest pinned epoch, shared by every
+  // snapshot of that epoch, so consecutive readers reuse one pin, one
+  // SnapshotPager and one warm pool. Dropped (always outside
+  // epoch_mutex_: teardown re-enters it via ReleasePin) when Publish
+  // supersedes its epoch, when Checkpoint starts draining, and in the
+  // destructor.
+  std::shared_ptr<SnapshotResources> cached_ PROBE_GUARDED_BY(epoch_mutex_);
 };
 
 /// A pinned, consistent read view of one published epoch. Copyable

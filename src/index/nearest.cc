@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <queue>
+#include <span>
 
 #include "btree/zkey.h"
 #include "geometry/primitives.h"
@@ -17,7 +18,7 @@ using zorder::ZValue;
 
 // Squared distance from the query cell to the closest cell of the region.
 // Accumulated in Dist2: two 32-bit deltas squared can sum past 2^64.
-Dist2 MinDistance2(const std::vector<zorder::DimRange>& region,
+Dist2 MinDistance2(std::span<const zorder::DimRange> region,
                    const geometry::GridPoint& query) {
   Dist2 dist2 = 0;
   for (size_t d = 0; d < region.size(); ++d) {

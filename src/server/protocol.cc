@@ -1,6 +1,7 @@
 #include "server/protocol.h"
 
 #include <cstring>
+#include <string>
 
 #include "util/crc32.h"
 
@@ -59,6 +60,7 @@ const char* StatusName(Status status) {
     case Status::kShuttingDown: return "shutting-down";
     case Status::kSessionExpired: return "session-expired";
     case Status::kIoError: return "io-error";
+    case Status::kResponseTooLarge: return "response-too-large";
   }
   return "?";
 }
@@ -476,6 +478,20 @@ bool ErrorResponse::FromPayload(std::span<const uint8_t> payload,
   if (!r.U16(&status) || !r.Str(&out->message) || !r.AtEnd()) return false;
   out->status = static_cast<Status>(status);
   return true;
+}
+
+bool EncodeResponse(const Frame& response, std::vector<uint8_t>* out) {
+  if (response.payload.size() <= kMaxPayloadBytes) {
+    EncodeFrame(response, out);
+    return true;
+  }
+  ErrorResponse error;
+  error.status = Status::kResponseTooLarge;
+  error.message = std::to_string(response.payload.size()) +
+                  "-byte answer exceeds the " +
+                  std::to_string(kMaxPayloadBytes) + "-byte frame cap";
+  EncodeFrame(error.ToFrame(response.request_id), out);
+  return false;
 }
 
 }  // namespace probe::server

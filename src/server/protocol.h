@@ -95,6 +95,7 @@ enum class Status : uint16_t {
   kShuttingDown = 10,
   kSessionExpired = 11,  // idle timeout
   kIoError = 12,
+  kResponseTooLarge = 13,  // the answer would exceed kMaxPayloadBytes
 };
 
 const char* StatusName(Status status);
@@ -281,6 +282,12 @@ struct ErrorResponse {
   Frame ToFrame(uint32_t request_id) const;
   static bool FromPayload(std::span<const uint8_t> payload, ErrorResponse* out);
 };
+
+/// The server's encoder: appends `response`, or — when its payload
+/// exceeds kMaxPayloadBytes, so that any decoder would refuse the frame as
+/// oversized — a kResponseTooLarge error answering the same request.
+/// Returns false when it sent the error instead.
+bool EncodeResponse(const Frame& response, std::vector<uint8_t>* out);
 
 }  // namespace probe::server
 

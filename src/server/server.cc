@@ -104,7 +104,7 @@ void Server::ServeConnection(int fd) {
     busy.status = stopping_.load() ? Status::kShuttingDown : Status::kBusy;
     busy.message = StatusName(busy.status);
     std::vector<uint8_t> bytes;
-    EncodeFrame(busy.ToFrame(0), &bytes);
+    EncodeResponse(busy.ToFrame(0), &bytes);
     WriteAll(fd, bytes.data(), bytes.size());
     ::close(fd);
     return;
@@ -248,7 +248,7 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame,
       Frame pong;
       pong.type = FrameType::kPong;
       pong.request_id = frame.request_id;
-      EncodeFrame(pong, out);
+      EncodeResponse(pong, out);
       break;
     }
     case FrameType::kHello: {
@@ -275,7 +275,7 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame,
       resp.bits_per_dim = static_cast<uint8_t>(engine_->grid().bits_per_dim);
       resp.shards = static_cast<uint16_t>(engine_->shard_count());
       resp.point_count = engine_->size();
-      EncodeFrame(resp.ToFrame(frame.request_id), out);
+      EncodeResponse(resp.ToFrame(frame.request_id), out);
       break;
     }
     case FrameType::kGoodbye: {
@@ -290,7 +290,7 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame,
       Frame bye;
       bye.type = FrameType::kGoodbyeOk;
       bye.request_id = frame.request_id;
-      EncodeFrame(bye, out);
+      EncodeResponse(bye, out);
       break;
     }
     case FrameType::kRange:
@@ -298,7 +298,10 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame,
     case FrameType::kCount:
     case FrameType::kKnn:
     case FrameType::kExplain: {
-      EncodeFrame(ExecuteQuery(conn, frame), out);
+      if (!EncodeResponse(ExecuteQuery(conn, frame), out)) {
+        errors_total_.fetch_add(1);
+        m_errors_->Increment();
+      }
       break;
     }
     default: {
@@ -481,7 +484,7 @@ void Server::SendError(std::vector<uint8_t>* out, uint32_t request_id,
   ErrorResponse resp;
   resp.status = status;
   resp.message = message;
-  EncodeFrame(resp.ToFrame(request_id), out);
+  EncodeResponse(resp.ToFrame(request_id), out);
 }
 
 bool Server::WriteAll(int fd, const uint8_t* data, size_t size) {

@@ -48,9 +48,9 @@ uint32_t FaultInjectingPager::page_count() const {
   return base_->page_count() + phantom_allocs_;
 }
 
-void FaultInjectingPager::Sync() {
-  if (crashed_) return;
-  base_->Sync();
+bool FaultInjectingPager::Sync() {
+  if (crashed_ || plan_.fail_sync) return false;
+  return base_->Sync();
 }
 
 }  // namespace probe::storage

@@ -43,6 +43,10 @@ struct FaultPlan {
 
   /// Seeds the tear position for kShortWrite.
   uint64_t seed = 0;
+
+  /// When true, every Sync reports failure (an fsync EIO) without
+  /// syncing; writes still land and the pager does not crash.
+  bool fail_sync = false;
 };
 
 /// Pager wrapper that injects one planned fault (see file comment).
@@ -69,7 +73,7 @@ class FaultInjectingPager final : public Pager {
   const PagerStats& stats() const override { return base_->stats(); }
   void ResetStats() override { base_->ResetStats(); }
   bool ok() const override { return !crashed_ && base_->ok(); }
-  void Sync() override;
+  bool Sync() override;
 
  private:
   Pager* base_;

@@ -68,22 +68,23 @@ void FilePager::Write(PageId id, const Page& page) {
   }
 }
 
-void FilePager::Sync() {
+bool FilePager::Sync() {
   assert(ok());
   // invariant-lint waiver(raw-fsync): this is Pager::Sync's contract —
   // the checkpoint force path syncs the *base* file here; WAL durability
   // still flows exclusively through storage/wal.
-  ::fsync(fd_);
+  const bool synced = ::fsync(fd_) == 0;
   if (obs::Enabled()) obs::StorageMetrics::Default().pager_syncs->Increment();
+  return synced;
 }
 
-void FilePager::TruncateTo(uint32_t page_count) {
+bool FilePager::TruncateTo(uint32_t page_count) {
   assert(ok());
   const off_t size =
       static_cast<off_t>(page_count) * static_cast<off_t>(Page::kSize);
-  [[maybe_unused]] const int rc = ::ftruncate(fd_, size);
-  assert(rc == 0);
+  if (::ftruncate(fd_, size) != 0) return false;
   page_count_ = page_count;
+  return true;
 }
 
 }  // namespace probe::storage

@@ -39,13 +39,14 @@ class FilePager final : public Pager {
   const PagerStats& stats() const override { return stats_; }
   void ResetStats() override { stats_.Reset(); }
 
-  /// Flushes the OS file buffers (fsync).
-  void Sync() override;
+  /// Flushes the OS file buffers (fsync). False when the fsync failed.
+  bool Sync() override;
 
   /// Shrinks (or, with zero pages, extends) the file to exactly
   /// `page_count` pages. Recovery uses this to discard pages a crashed
-  /// checkpoint allocated past the last committed state.
-  void TruncateTo(uint32_t page_count);
+  /// checkpoint allocated past the last committed state. False (and the
+  /// page count unchanged) when the truncate failed.
+  bool TruncateTo(uint32_t page_count);
 
  private:
   int fd_ = -1;

@@ -51,8 +51,8 @@ class Pager {
   virtual bool ok() const { return true; }
 
   /// Makes prior writes durable. A no-op for memory-backed pagers;
-  /// file-backed ones fsync.
-  virtual void Sync() {}
+  /// file-backed ones fsync. False when the writes may not be durable.
+  virtual bool Sync() { return true; }
 };
 
 /// In-memory pager: the simulated disk used throughout the reproduction.

@@ -67,18 +67,20 @@ RecoveryResult Recover(const std::string& wal_path, FilePager* base) {
   // Restore the committed page count exactly: a crash mid-checkpoint may
   // have extended the base past it, and committed allocations that only
   // ever lived in the log may fall short of it (their pages are zero).
-  if (base->page_count() != result.page_count) {
-    base->TruncateTo(result.page_count);
+  if (base->page_count() != result.page_count &&
+      !base->TruncateTo(result.page_count)) {
+    result.ok = false;
   }
-  base->Sync();
+  if (!base->Sync()) result.ok = false;
 
   // Cut the log back to the boundary so the discarded tail cannot be read
   // a second time; an empty boundary empties the log.
   const uint64_t log_size = FileSize(wal_path);
   if (log_size > boundary_end) {
     result.bytes_truncated = log_size - boundary_end;
-    [[maybe_unused]] const int rc =
-        ::truncate(wal_path.c_str(), static_cast<off_t>(boundary_end));
+    if (::truncate(wal_path.c_str(), static_cast<off_t>(boundary_end)) != 0) {
+      result.ok = false;
+    }
   }
   return result;
 }

@@ -65,6 +65,11 @@ struct RecoveryResult {
   /// The application metadata blob of the boundary record, empty when no
   /// boundary existed. The index layer deserializes its tree state here.
   std::vector<uint8_t> meta;
+
+  /// False when truncating or syncing the base file, or cutting the log
+  /// back, failed: the recovered state may not be durable, and the
+  /// database must not be opened on it.
+  bool ok = true;
 };
 
 /// Recovers `base` from the log at `wal_path` (see file comment). The log

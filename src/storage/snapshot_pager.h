@@ -48,7 +48,7 @@ class SnapshotPager final : public Pager {
   const PagerStats& stats() const override { return stats_; }
   void ResetStats() override { stats_.Reset(); }
   bool ok() const override { return txn_->ok(); }
-  void Sync() override {}  // nothing to make durable in a read-only view
+  bool Sync() override { return true; }  // a read-only view has no writes
 
   uint64_t epoch() const { return epoch_; }
 

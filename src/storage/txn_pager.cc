@@ -140,8 +140,11 @@ bool TxnPager::Checkpoint(std::span<const uint8_t> meta) {
       base_->Write(id, vec.back().page);
     }
   }
-  base_->Sync();
-  if (!base_->ok()) return false;  // injected crash mid-force
+  // A failed base sync (or an injected crash mid-force) leaves the forced
+  // pages' durability unknown, so the cut-over must not happen: the log
+  // still covers every page, and a later checkpoint rewrites them all
+  // before syncing again.
+  if (!base_->Sync() || !base_->ok()) return false;
 
   // Atomic cut-over: after this the checkpoint record alone describes the
   // database, and the version table's job is done.

@@ -79,7 +79,7 @@ class TxnPager final : public Pager {
   bool ok() const override { return base_->ok() && wal_->ok() && !wal_->dead(); }
   /// Durability is the log's job; syncing the base outside a checkpoint
   /// would break no-steal, so this syncs the log only.
-  void Sync() override { wal_->Sync(); }
+  bool Sync() override { return wal_->Sync(); }
 
   /// Commits the batch written since the last Commit: logs a commit record
   /// (with `meta`, the application's re-attach state) and waits for it to

@@ -223,10 +223,19 @@ bool Wal::LeaderSyncLocked() {
   const uint64_t group = pending_commits_;
   pending_commits_ = 0;
   const int fd = fd_;
+  const bool inject_eio = stats_.syncs >= fault_.fail_sync_after;
   mu_.Unlock();
   util::SchedulePoint("wal.fsync");
-  ::fsync(fd);
+  const bool synced = !inject_eio && ::fsync(fd) == 0;
   mu_.Lock();
+  if (!synced) {
+    // Whether the group's records reached the disk is unknown, and a retry
+    // could not tell (see file comment): the log dies, and every commit of
+    // this group fails instead of being acknowledged.
+    MarkDeadLocked();
+    sync_active_ = false;
+    return false;
+  }
   if (durable_lsn_ < target) durable_lsn_ = target;
   ++stats_.syncs;
   if (group > 0) {

@@ -72,6 +72,12 @@
 /// which syncs completed), then up to tear_bytes of the victim, so the
 /// on-disk picture is byte-identical to the pre-buffering design. Tests
 /// then reopen from the files alone.
+///
+/// A failed fsync (real, or injected by the plan's fail_sync_after) also
+/// kills the log. After an fsync error the kernel may already have dropped
+/// the dirty pages and cleared the error, so a retried fsync that succeeds
+/// proves nothing: the log never retries, and every commit waiting on the
+/// failed sync is refused, not acknowledged.
 
 namespace probe::storage {
 
@@ -97,6 +103,10 @@ struct WalFaultPlan {
   /// Values >= the record size are clamped to leave at least one byte
   /// missing, so the victim is always incomplete.
   uint64_t tear_bytes = 0;
+
+  /// Log fsyncs that succeed before one fails with EIO; the
+  /// (fail_sync_after+1)-th fsync is the victim. ~0 = never.
+  uint64_t fail_sync_after = ~0ull;
 };
 
 /// One decoded record, as recovery sees it.
@@ -228,7 +238,7 @@ class Wal {
   // One leader turn: flush the buffer, fsync outside the lock, advance
   // durable_lsn_, account the commit group. Requires sync_active_ to have
   // been claimed by the caller; clears it and notifies before returning.
-  // Returns false on a dead log.
+  // Returns false on a dead log; a failed fsync kills it.
   bool LeaderSyncLocked() PROBE_REQUIRES(mu_);
 
   void MarkDeadLocked() PROBE_REQUIRES(mu_);

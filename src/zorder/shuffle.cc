@@ -69,22 +69,24 @@ std::vector<uint32_t> Unshuffle(const GridSpec& grid, const ZValue& z) {
   return coords;
 }
 
-std::vector<DimRange> UnshuffleRegion(const GridSpec& grid, const ZValue& z) {
+RegionRanges UnshuffleRegion(const GridSpec& grid, const ZValue& z) {
   assert(grid.Valid());
+  assert(grid.bits_per_dim <= 32);
   assert(z.length() <= grid.total_bits());
-  const int d = grid.bits_per_dim;
-  std::vector<uint32_t> prefix(grid.dims, 0);
+  uint32_t prefix[RegionRanges::kMaxDims] = {};
+  int consumed[RegionRanges::kMaxDims] = {};
   for (int j = 0; j < z.length(); ++j) {
     const int dim = grid.SplitDimAt(j);
     prefix[dim] = (prefix[dim] << 1) | static_cast<uint32_t>(z.BitAt(j));
+    ++consumed[dim];
   }
-  std::vector<DimRange> ranges(grid.dims);
+  RegionRanges ranges(grid.dims);
   for (int dim = 0; dim < grid.dims; ++dim) {
-    const int consumed = grid.BitsConsumed(z.length(), dim);
-    const int free_bits = d - consumed;
-    ranges[dim].lo = prefix[dim] << free_bits;
-    ranges[dim].hi =
-        ranges[dim].lo | static_cast<uint32_t>(util::LowMask(free_bits));
+    // 64-bit shift: an unsplit dimension of a 32-bit grid shifts by 32.
+    const int free_bits = grid.bits_per_dim - consumed[dim];
+    const uint64_t lo = static_cast<uint64_t>(prefix[dim]) << free_bits;
+    ranges[dim].lo = static_cast<uint32_t>(lo);
+    ranges[dim].hi = static_cast<uint32_t>(lo | util::LowMask(free_bits));
   }
   return ranges;
 }
@@ -94,7 +96,7 @@ bool IsElementRegion(const GridSpec& grid,
   if (ranges.size() != static_cast<size_t>(grid.dims)) return false;
   const int d = grid.bits_per_dim;
   int total = 0;
-  std::vector<int> consumed(grid.dims);
+  int consumed[RegionRanges::kMaxDims] = {};
   for (int dim = 0; dim < grid.dims; ++dim) {
     const DimRange& r = ranges[dim];
     if (r.hi < r.lo || r.hi >= grid.side()) return false;

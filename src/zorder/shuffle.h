@@ -1,6 +1,9 @@
 #ifndef PROBE_ZORDER_SHUFFLE_H_
 #define PROBE_ZORDER_SHUFFLE_H_
 
+#include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -42,10 +45,34 @@ ZValue Shuffle2D(const GridSpec& grid, uint32_t x, uint32_t y);
 /// coordinates. Requires z.length() == grid.total_bits().
 std::vector<uint32_t> Unshuffle(const GridSpec& grid, const ZValue& z);
 
+/// Per-dimension extents of a region, held inline (at most 8 dimensions)
+/// so that unshuffling a region allocates nothing. Reads like a
+/// std::vector<DimRange> with one entry per dimension.
+class RegionRanges {
+ public:
+  static constexpr int kMaxDims = 8;
+
+  explicit RegionRanges(int dims) : dims_(dims) {
+    assert(dims >= 0 && dims <= kMaxDims);
+  }
+
+  size_t size() const { return static_cast<size_t>(dims_); }
+  DimRange& operator[](size_t i) { return ranges_[i]; }
+  const DimRange& operator[](size_t i) const { return ranges_[i]; }
+  const DimRange* data() const { return ranges_.data(); }
+  const DimRange* begin() const { return ranges_.data(); }
+  const DimRange* end() const { return ranges_.data() + dims_; }
+
+ private:
+  std::array<DimRange, kMaxDims> ranges_{};
+  int dims_;
+};
+
 /// General unshuffle: the region named by a (possibly partial) z value,
 /// as per-dimension cell ranges. A full-length z value yields degenerate
-/// ranges (lo == hi); the empty z value yields the whole grid.
-std::vector<DimRange> UnshuffleRegion(const GridSpec& grid, const ZValue& z);
+/// ranges (lo == hi); the empty z value yields the whole grid. Requires
+/// grid.bits_per_dim <= 32 (a DimRange holds 32-bit coordinates).
+RegionRanges UnshuffleRegion(const GridSpec& grid, const ZValue& z);
 
 /// The z value of the region whose per-dimension extents are `ranges`,
 /// when that region is one produced by the recursive splitting policy

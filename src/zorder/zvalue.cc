@@ -6,11 +6,6 @@
 
 namespace probe::zorder {
 
-ZValue ZValue::FromRaw(uint64_t left_justified_bits, int length) {
-  assert(length >= 0 && length <= kMaxBits);
-  return ZValue(left_justified_bits & util::HighMask(length), length);
-}
-
 ZValue ZValue::FromInteger(uint64_t value, int length) {
   assert(length >= 0 && length <= kMaxBits);
   const uint64_t raw = length == 0 ? 0 : value << (kMaxBits - length);
@@ -29,23 +24,6 @@ std::optional<ZValue> ZValue::Parse(std::string_view text) {
   return ZValue(bits, length);
 }
 
-uint64_t ZValue::ToInteger() const {
-  return length_ == 0 ? 0 : bits_ >> (kMaxBits - length_);
-}
-
-int ZValue::BitAt(int i) const {
-  assert(i >= 0 && i < length_);
-  return static_cast<int>((bits_ >> (kMaxBits - 1 - i)) & 1);
-}
-
-ZValue ZValue::Child(int bit) const {
-  assert(length_ < kMaxBits);
-  assert(bit == 0 || bit == 1);
-  uint64_t bits = bits_;
-  if (bit) bits |= 1ULL << (kMaxBits - 1 - length_);
-  return ZValue(bits, length_ + 1);
-}
-
 ZValue ZValue::Parent() const {
   assert(length_ > 0);
   const int new_length = length_ - 1;
@@ -60,19 +38,6 @@ ZValue ZValue::Prefix(int new_length) const {
 bool ZValue::Contains(const ZValue& other) const {
   if (length_ > other.length_) return false;
   return (other.bits_ & util::HighMask(length_)) == bits_;
-}
-
-uint64_t ZValue::RangeLo(int total_bits) const {
-  assert(total_bits >= length_ && total_bits <= kMaxBits);
-  // length_ == 0 on a 64-bit grid would shift by 64; the root's range
-  // starts at 0 regardless.
-  if (length_ == 0) return 0;
-  return ToInteger() << (total_bits - length_);
-}
-
-uint64_t ZValue::RangeHi(int total_bits) const {
-  assert(total_bits >= length_ && total_bits <= kMaxBits);
-  return RangeLo(total_bits) | util::LowMask(total_bits - length_);
 }
 
 std::string ZValue::ToString() const {

@@ -1,11 +1,14 @@
 #ifndef PROBE_ZORDER_ZVALUE_H_
 #define PROBE_ZORDER_ZVALUE_H_
 
+#include <cassert>
 #include <compare>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+
+#include "util/bits.h"
 
 /// \file
 /// The `element` object class of Section 4 of the paper.
@@ -40,7 +43,10 @@ class ZValue {
 
   /// Builds a z value from a left-justified word. Bits past `length` must
   /// be zero; they are masked off defensively.
-  static ZValue FromRaw(uint64_t left_justified_bits, int length);
+  static ZValue FromRaw(uint64_t left_justified_bits, int length) {
+    assert(length >= 0 && length <= kMaxBits);
+    return ZValue(left_justified_bits & util::HighMask(length), length);
+  }
 
   /// Builds a z value of `length` bits from a right-justified integer whose
   /// low `length` bits are the bitstring (e.g. FromInteger(0b001, 3)).
@@ -60,14 +66,25 @@ class ZValue {
   uint64_t raw() const { return bits_; }
 
   /// The bitstring interpreted as a right-justified integer.
-  uint64_t ToInteger() const;
+  uint64_t ToInteger() const {
+    return length_ == 0 ? 0 : bits_ >> (kMaxBits - length_);
+  }
 
   /// Bit at position `i` (0 = first/most significant). Requires
   /// 0 <= i < length().
-  int BitAt(int i) const;
+  int BitAt(int i) const {
+    assert(i >= 0 && i < length_);
+    return static_cast<int>((bits_ >> (kMaxBits - 1 - i)) & 1);
+  }
 
   /// This z value with `bit` (0 or 1) appended. Requires length() < kMaxBits.
-  ZValue Child(int bit) const;
+  ZValue Child(int bit) const {
+    assert(length_ < kMaxBits);
+    assert(bit == 0 || bit == 1);
+    uint64_t bits = bits_;
+    if (bit) bits |= 1ULL << (kMaxBits - 1 - length_);
+    return ZValue(bits, length_ + 1);
+  }
 
   /// This z value with the last bit removed. Requires length() > 0.
   ZValue Parent() const;
@@ -82,11 +99,19 @@ class ZValue {
   /// The smallest full-resolution z value inside this region: the bitstring
   /// padded with 0s to `total_bits`. This is `zlo` of the range-search
   /// algorithm (Section 3.3). Requires length() <= total_bits <= 64.
-  uint64_t RangeLo(int total_bits) const;
+  uint64_t RangeLo(int total_bits) const {
+    assert(total_bits >= length_ && total_bits <= kMaxBits);
+    // length_ == 0 on a 64-bit grid would shift by 64; the root's range
+    // starts at 0 regardless.
+    if (length_ == 0) return 0;
+    return ToInteger() << (total_bits - length_);
+  }
 
   /// The largest full-resolution z value inside this region (padding
   /// with 1s): `zhi` of Section 3.3.
-  uint64_t RangeHi(int total_bits) const;
+  uint64_t RangeHi(int total_bits) const {
+    return RangeLo(total_bits) | util::LowMask(total_bits - length_);
+  }
 
   /// Renders as a string of '0'/'1', e.g. "001".
   std::string ToString() const;

@@ -156,6 +156,39 @@ TEST(FuzzProtocolTest, OversizedLengthIsRejectedBeforeBuffering) {
   }
 }
 
+// The encoder side of the cap: an answer too large for a frame goes out
+// as an explicit kResponseTooLarge error for the same request, never as a
+// frame the client's decoder would refuse as oversized. An answer exactly
+// at the cap still goes out whole.
+TEST(FuzzProtocolTest, OversizedAnswerIsRefusedExplicitly) {
+  RangeResponse range;
+  range.ids.resize(kMaxPayloadBytes / 8);  // plus its count: past the cap
+  std::vector<uint8_t> wire;
+  EXPECT_FALSE(EncodeResponse(range.ToFrame(77), &wire));
+  Frame got;
+  size_t consumed = 0;
+  Status error = Status::kOk;
+  ASSERT_EQ(DecodeFrame(wire, &got, &consumed, &error), DecodeResult::kFrame);
+  EXPECT_EQ(error, Status::kOk);
+  EXPECT_EQ(consumed, wire.size());
+  EXPECT_EQ(got.type, FrameType::kError);
+  EXPECT_EQ(got.request_id, 77u);
+  ErrorResponse refused;
+  ASSERT_TRUE(ErrorResponse::FromPayload(got.payload, &refused));
+  EXPECT_EQ(refused.status, Status::kResponseTooLarge);
+  EXPECT_STREQ(StatusName(refused.status), "response-too-large");
+
+  Frame at_cap;
+  at_cap.type = FrameType::kRangeResult;
+  at_cap.request_id = 78;
+  at_cap.payload.assign(kMaxPayloadBytes, 0);
+  wire.clear();
+  EXPECT_TRUE(EncodeResponse(at_cap, &wire));
+  ASSERT_EQ(DecodeFrame(wire, &got, &consumed, &error), DecodeResult::kFrame);
+  EXPECT_EQ(got.type, FrameType::kRangeResult);
+  EXPECT_EQ(got.payload.size(), kMaxPayloadBytes);
+}
+
 TEST(FuzzProtocolTest, RandomGarbageNeverCrashes) {
   Rng rng(0xF7A3E006);
   for (int iter = 0; iter < 2000; ++iter) {

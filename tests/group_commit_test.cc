@@ -1,6 +1,7 @@
 // Group commit and epoch snapshots, the deterministic half of the
 // concurrency tier: WAL commit grouping (one fsync acks many commits),
 // the acked ⊆ durable invariant under a multi-threaded commit storm,
+// fail-stop on a failed fsync (no ack after it, for the WAL or an Apply),
 // concurrent DurableIndex::Apply equivalence with serial epoch-order
 // replay, snapshot isolation from later commits, checkpoint draining, and
 // the schedule harness's same-seed determinism. The TSan build runs this
@@ -150,6 +151,82 @@ TEST(GroupCommitTest, CommitStormKeepsAckedWithinDurable) {
     ++count;
   }
   EXPECT_EQ(count, all.size());
+}
+
+// A failed fsync kills the log: every commit waiting on that sync is
+// refused, the log never retries (a later "successful" fsync could not
+// vouch for pages the kernel may have dropped), and acks already given
+// stand.
+TEST(GroupCommitTest, FailedFsyncRefusesItsWholeGroup) {
+  testutil::TempFile tmp("group_commit_eio");
+  Wal wal(tmp.path(), /*truncate=*/true);
+  ASSERT_TRUE(wal.ok());
+  storage::WalFaultPlan plan;
+  plan.fail_sync_after = 1;
+  wal.SetFaultPlan(plan);
+
+  const uint64_t c1 = wal.AppendCommitDeferred(1, Meta(1));
+  ASSERT_TRUE(wal.GroupCommit(c1));  // the one fsync that succeeds
+
+  const uint64_t c2 = wal.AppendCommitDeferred(2, Meta(1));
+  const uint64_t c3 = wal.AppendCommitDeferred(3, Meta(1));
+  const uint64_t c4 = wal.AppendCommitDeferred(4, Meta(1));
+  ASSERT_NE(c2, 0u);
+  EXPECT_FALSE(wal.GroupCommit(c4)) << "acked through a failed fsync";
+  EXPECT_TRUE(wal.dead());
+  EXPECT_FALSE(wal.GroupCommit(c2));
+  EXPECT_FALSE(wal.GroupCommit(c3));
+  EXPECT_EQ(wal.durable_lsn(), c1);
+
+  // No retry, no later appends; the earlier ack stands.
+  EXPECT_FALSE(wal.Sync());
+  EXPECT_EQ(wal.AppendCommitDeferred(5, Meta(1)), 0u);
+  EXPECT_EQ(wal.stats().syncs, 1u);
+  EXPECT_TRUE(wal.GroupCommit(c1));
+}
+
+TEST(GroupCommitTest, NoCommitIsAckedAfterAFailedFsync) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kGoodSyncs = 5;
+  constexpr int kMaxCommitsPerThread = 256;
+  testutil::TempFile tmp("group_commit_eio_storm");
+  Wal wal(tmp.path(), /*truncate=*/true);
+  ASSERT_TRUE(wal.ok());
+  wal.SetGroupCommitDelay(std::chrono::microseconds(200));
+  storage::WalFaultPlan plan;
+  plan.fail_sync_after = kGoodSyncs;
+  wal.SetFaultPlan(plan);
+
+  std::vector<std::vector<uint64_t>> acked(kThreads);
+  std::atomic<int> refused{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&wal, &acked, &refused, t] {
+      // Bounded, so a log that wrongly survives the failed sync fails the
+      // checks below instead of looping for ever.
+      for (int i = 0; i < kMaxCommitsPerThread; ++i) {
+        const uint64_t lsn = wal.AppendCommitDeferred(1, Meta(1));
+        if (lsn == 0) return;  // the log is dead
+        if (!wal.GroupCommit(lsn)) {
+          refused.fetch_add(1);
+          return;
+        }
+        acked[static_cast<size_t>(t)].push_back(lsn);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_TRUE(wal.dead());
+  EXPECT_EQ(wal.stats().syncs, kGoodSyncs);
+  EXPECT_GE(refused.load(), 1) << "the failed sync's group was acked";
+  // Every ack is covered by one of the syncs that succeeded.
+  const uint64_t durable = wal.durable_lsn();
+  for (const auto& lsns : acked) {
+    for (const uint64_t lsn : lsns) {
+      EXPECT_LE(lsn, durable) << "acked after the failed fsync";
+    }
+  }
 }
 
 // ---------------------------------------------------- DurableIndex level
@@ -305,6 +382,31 @@ TEST(GroupCommitTest, CheckpointDrainsSnapshotPins) {
 }
 
 // ------------------------------------------------- schedule harness unit
+
+// A batch whose commit fsync fails is refused, stays invisible to
+// readers, and the engine refuses every later batch.
+TEST(GroupCommitTest, FailedFsyncRefusesTheBatch) {
+  testutil::TempFile tmp("group_commit_eio_apply");
+  DurableIndex::Options options;
+  options.truncate = true;
+  DurableIndex db(kGrid, tmp.path(), options);
+  ASSERT_TRUE(db.ok());
+  const Op first = Op::Insert(GridPoint({1, 2}), 1);
+  ASSERT_TRUE(db.Apply({&first, 1}));
+  const uint64_t epoch = db.published_epoch();
+
+  storage::WalFaultPlan plan;
+  plan.fail_sync_after = db.wal().stats().syncs;
+  db.wal().SetFaultPlan(plan);
+  const Op second = Op::Insert(GridPoint({3, 4}), 2);
+  EXPECT_FALSE(db.Apply({&second, 1}));
+  EXPECT_EQ(db.published_epoch(), epoch);
+  EXPECT_EQ(db.CreateSnapshot().index().CountBox(
+                GridBox::Make2D(0, kSide - 1, 0, kSide - 1)),
+            1u);
+  const Op third = Op::Insert(GridPoint({5, 6}), 3);
+  EXPECT_FALSE(db.Apply({&third, 1}));
+}
 
 TEST(ScheduleHarnessTest, SameSeedSameDecisions) {
   auto run = [](uint64_t seed) {

@@ -298,6 +298,43 @@ TEST(DurableIndexTest, CleanReopenSeesEveryCommittedBatch) {
   EXPECT_EQ(got, expect);
 }
 
+// A checkpoint whose base-file fsync fails must stop before the log
+// cut-over: the log still covers every page, the engine keeps serving,
+// and a later checkpoint (or a reopen) finishes the job.
+TEST(DurableIndexTest, FailedBaseSyncStopsCheckpointBeforeCutOver) {
+  testutil::TempFile tmp("durable_base_eio");
+  const zorder::GridSpec grid{2, 8};
+  DurableIndex::Options options;
+  options.truncate = true;
+  util::Rng rng(9300);
+  const GridBox all = GridBox::Make2D(0, 255, 0, 255);
+  {
+    DurableIndex db(grid, tmp.path(), options);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(db.Apply(InsertBatch(&rng, 256, 0, 60)));
+    const uint64_t log_bytes = db.wal().size_bytes();
+    const size_t pending = db.txn_pager().pending_pages();
+    ASSERT_GT(pending, 0u);
+
+    storage::FaultPlan plan;
+    plan.fail_sync = true;
+    db.base_faults().SetFaultPlan(plan);
+    EXPECT_FALSE(db.Checkpoint());
+    EXPECT_EQ(db.wal().size_bytes(), log_bytes) << "log cut over";
+    EXPECT_EQ(db.txn_pager().pending_pages(), pending);
+    EXPECT_EQ(db.CreateSnapshot().index().CountBox(all), 60u);
+
+    db.base_faults().SetFaultPlan(storage::FaultPlan());
+    ASSERT_TRUE(db.Apply(InsertBatch(&rng, 256, 100, 20)));
+    EXPECT_TRUE(db.Checkpoint());
+    EXPECT_EQ(db.txn_pager().pending_pages(), 0u);
+  }
+  options.truncate = false;
+  DurableIndex reopened(grid, tmp.path(), options);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(reopened.index().CountBox(all), 80u);
+}
+
 TEST(DurableIndexTest, CrashMidBatchLosesExactlyTheUncommittedBatch) {
   testutil::TempFile tmp("durable_midbatch");
   const zorder::GridSpec grid{2, 8};

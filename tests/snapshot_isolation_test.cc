@@ -5,6 +5,9 @@
 // a single DurableIndex (bitwise vs a replay engine), a multi-writer
 // storm (exact prefix sizes + containment), and a ShardedEngine View
 // (per-shard epochs each a prefix of that shard's sub-batch sequence).
+// The engine-held view is covered too: one warm view per epoch, replaced
+// (and unpinned) on publish, and never a hang when a checkpoint races
+// the snapshots that would re-cache it.
 
 #include <algorithm>
 #include <atomic>
@@ -358,6 +361,113 @@ TEST(SnapshotIsolationTest, ShardedViewsPinPerShardPrefixes) {
   EXPECT_EQ(std::set<uint64_t>(got.begin(), got.end()), all);
   EXPECT_EQ(engine.RangeSearch(FullBox()), got);
   EXPECT_EQ(engine.size(), got.size());
+}
+
+// ------------------------------------------------ the engine-held view
+
+std::vector<Op> InsertBatch(uint64_t first_id, int n) {
+  std::vector<Op> batch;
+  for (int i = 0; i < n; ++i) {
+    const uint64_t id = first_id + static_cast<uint64_t>(i);
+    batch.push_back(Op::Insert(
+        GridPoint({static_cast<uint32_t>((id * 37) % kSide),
+                   static_cast<uint32_t>((id * 91) % kSide)}),
+        id));
+  }
+  return batch;
+}
+
+TEST(SnapshotViewTest, SnapshotsOfOneEpochShareOneWarmView) {
+  testutil::TempFile file("snap_view_share");
+  DurableIndex::Options options;
+  options.truncate = true;
+  DurableIndex db(kGrid, file.path(), options);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE(db.Apply(InsertBatch(1, 200)));
+
+  const index::ZkdIndex* view = nullptr;
+  {
+    const DurableIndex::Snapshot a = db.CreateSnapshot();
+    const DurableIndex::Snapshot b = db.CreateSnapshot();
+    ASSERT_TRUE(a.ok());
+    EXPECT_EQ(&a.index(), &b.index()) << "concurrent readers of one epoch";
+    EXPECT_EQ(a.index().CountBox(FullBox()), 200u);
+    view = &a.index();
+  }
+  // No reader holds the view now; the next one of the same epoch still
+  // gets it, pool warm: answering again reads no page.
+  const uint64_t reads = db.txn_pager().stats().reads;
+  const DurableIndex::Snapshot c = db.CreateSnapshot();
+  EXPECT_EQ(&c.index(), view) << "consecutive readers of one epoch";
+  EXPECT_EQ(c.index().CountBox(FullBox()), 200u);
+  EXPECT_EQ(db.txn_pager().stats().reads, reads);
+}
+
+TEST(SnapshotViewTest, ApplyReplacesTheViewAndUnpinsTheOldOne) {
+  testutil::TempFile file("snap_view_replace");
+  DurableIndex::Options options;
+  options.truncate = true;
+  DurableIndex db(kGrid, file.path(), options);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE(db.Apply(InsertBatch(1, 100)));
+
+  DurableIndex::Snapshot old_snap = db.CreateSnapshot();
+  const uint64_t old_epoch = old_snap.epoch();
+  ASSERT_TRUE(db.Apply(InsertBatch(101, 100)));
+  {
+    const DurableIndex::Snapshot new_snap = db.CreateSnapshot();
+    EXPECT_EQ(new_snap.epoch(), old_epoch + 1);
+    EXPECT_NE(&new_snap.index(), &old_snap.index());
+    EXPECT_EQ(new_snap.index().CountBox(FullBox()), 200u);
+    // The old view still answers as of its own epoch while held...
+    EXPECT_EQ(old_snap.index().CountBox(FullBox()), 100u);
+    EXPECT_GT(db.txn_pager().pending_versions(),
+              db.txn_pager().pending_pages());
+    // ...and once its last reader lets go, nothing pins the old epoch: the
+    // superseded page versions are gone.
+    old_snap = DurableIndex::Snapshot();
+    EXPECT_EQ(db.txn_pager().pending_versions(),
+              db.txn_pager().pending_pages());
+  }
+
+  // No reader holds anything now, but the index still holds the view of
+  // the published epoch; the next publish drops it, unpinning that epoch.
+  ASSERT_TRUE(db.Apply(InsertBatch(201, 100)));
+  EXPECT_EQ(db.txn_pager().pending_versions(), db.txn_pager().pending_pages());
+  EXPECT_EQ(db.CreateSnapshot().index().CountBox(FullBox()), 300u);
+}
+
+TEST(SnapshotViewTest, CheckpointRacingSnapshotsNeverHangs) {
+  testutil::TempFile file("snap_view_checkpoint");
+  DurableIndex::Options options;
+  options.truncate = true;
+  DurableIndex db(kGrid, file.path(), options);
+  ASSERT_TRUE(db.ok());
+  constexpr int kRounds = 40;
+  constexpr int kBatch = 8;
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&db, &done] {
+      while (!done.load()) {
+        const DurableIndex::Snapshot snap = db.CreateSnapshot();
+        ASSERT_TRUE(snap.ok());
+        // Epoch 1 is the empty tree; each later epoch adds one batch.
+        EXPECT_EQ(snap.index().CountBox(FullBox()),
+                  (snap.epoch() - 1) * kBatch);
+      }
+    });
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(db.Apply(
+        InsertBatch(1 + static_cast<uint64_t>(round) * kBatch, kBatch)));
+    ASSERT_TRUE(db.Checkpoint());
+  }
+  done.store(true);
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(db.CreateSnapshot().index().CountBox(FullBox()),
+            static_cast<uint64_t>(kRounds) * kBatch);
 }
 
 }  // namespace
