@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
     }
     if (shards == 1) {
       for (size_t q = 0; q < boxes.size(); ++q) {
-        expected[q] = engine.CountBox(boxes[q]);
+        expected[q] = engine.CreateView().CountBox(boxes[q]);
       }
     }
 

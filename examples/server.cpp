@@ -139,8 +139,8 @@ int main(int argc, char** argv) {
     std::printf("query failed: %s\n", client.last_error().c_str());
     return 1;
   }
-  const bool same = ids == engine.RangeSearch(box) &&
-                    count == engine.CountBox(box);
+  const bool same = ids == engine.CreateView().RangeSearch(box) &&
+                    count == engine.CreateView().CountBox(box);
   std::printf("RANGE %s -> %zu ids; COUNT -> %llu  (%s in-process answer)\n",
               box.ToString().c_str(), ids.size(),
               static_cast<unsigned long long>(count),

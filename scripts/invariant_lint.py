@@ -23,6 +23,11 @@ primitives may appear where:
                      with no PinBalanceScope. Pins taken elsewhere must be
                      balance-audited (storage/audit.h) or they leak frames
                      invisibly until a pool asserts.
+  private-merge      ElementGenerator SeekForward calls outside
+                     src/decompose/. Random access on the element sequence
+                     B is the skip half of the Section 3.3 merge, and that
+                     merge has one home (ZkdIndex::RangeCursor); a second
+                     loop calling SeekForward is a private copy of it.
   unexplained-escape PROBE_NO_THREAD_SAFETY_ANALYSIS with no adjacent
                      comment. Every escape hatch needs a written reason or
                      the annotation rollout rots one silent opt-out at a
@@ -31,8 +36,9 @@ primitives may appear where:
 Waivers: a comment `invariant-lint waiver(<rule>)` on the offending line or
 within the three lines above suppresses that rule there. Waivers are for
 the handful of structural exceptions (the server's acceptor thread, the
-base-file fsync in FilePager::Sync) — each must carry its justification in
-the surrounding comment.
+base-file fsync in FilePager::Sync, the one merge and the two element-key
+merges of the object index) — each must carry its justification in the
+surrounding comment.
 
 Modes:
   --mode=regex  (default, and the fallback) — matches against
@@ -133,6 +139,7 @@ RAW_FSYNC_RE = re.compile(r"\b(?:::)?(fsync|fdatasync)\s*\(")
 # Pool pins: Fetch/New called on something named like a pool.
 PIN_RE = re.compile(r"\b\w*[Pp]ool\w*(?:\.|->)(?:Fetch|New)\s*\(")
 ESCAPE_RE = re.compile(r"PROBE_NO_THREAD_SAFETY_ANALYSIS")
+SEEK_FORWARD_RE = re.compile(r"(?:\.|->)SeekForward\s*\(")
 
 PIN_INTERIOR = ("src/storage/", "src/btree/", "src/relational/")
 
@@ -189,6 +196,11 @@ def check_file(path, raw_text, synthetic_rel=None):
             add("unscoped-pin", idx,
                 "BufferPool pin outside the index interior with no "
                 "PinBalanceScope in the file (storage/audit.h)")
+        if (not rel.startswith("src/decompose/")
+                and SEEK_FORWARD_RE.search(line)):
+            add("private-merge", idx,
+                "SeekForward outside src/decompose/: a private skip merge; "
+                "drive ZkdIndex::RangeCursor instead")
 
     # unexplained-escape works on raw lines: the *comment* is the point.
     for idx, line in enumerate(raw_lines, start=1):
@@ -285,7 +297,10 @@ FIXTURE_EXPECTATIONS = [
     ("bad_unscoped_pin.cc", "src/query/bad_unscoped_pin.cc", "unscoped-pin"),
     ("bad_unexplained_escape.cc", "src/query/bad_unexplained_escape.cc",
      "unexplained-escape"),
+    ("bad_private_merge.cc", "src/index/bad_private_merge.cc",
+     "private-merge"),
     ("clean.cc", "src/query/clean.cc", None),
+    ("clean_private_merge.cc", "src/index/clean_private_merge.cc", None),
 ]
 
 

@@ -120,6 +120,8 @@ std::vector<uint64_t> ZkdObjectIndex::QueryOverlapping(
       // to the first element that could still reach this entry, skipping
       // the dead gap on both sequences.
       const uint64_t entry_lo = entry_z.RangeLo(total);
+      // invariant-lint waiver(private-merge): stored elements, not points;
+      // the containment test replaces the point-in-interval one.
       have_element = generator.SeekForward(entry_lo, &element);
       if (!have_element) break;
       ++probe_elements;
@@ -179,6 +181,7 @@ std::vector<uint64_t> ZkdObjectIndex::QueryContained(
         continue;
       }
       const uint64_t entry_lo = entry_z.RangeLo(total);
+      // invariant-lint waiver(private-merge): stored elements, not points.
       have_element = generator.SeekForward(entry_lo, &element);
       if (!have_element) break;
       ++probe_elements;

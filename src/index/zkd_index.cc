@@ -46,24 +46,29 @@ ZKey IntegerKey(const zorder::GridSpec& grid, uint64_t z) {
   return ZKey::FromZValue(ZValue::FromInteger(z, grid.total_bits()));
 }
 
+// A full-depth element is exact for any classifier (a one-cell crossing
+// region is decided by the classifier itself for boxes; for general
+// objects the boundary cell counts as inside per the grid approximation),
+// so verification only matters when the decomposition is depth-capped.
+bool MustVerify(const zorder::GridSpec& grid, const SearchOptions& options) {
+  return options.verify_candidates && options.max_element_depth >= 0 &&
+         options.max_element_depth < grid.total_bits();
+}
+
+// The candidate check: does the entry's cell lie inside the object?
+bool ObjectHolds(const zorder::GridSpec& grid,
+                 const geometry::SpatialObject& object,
+                 const LeafEntry& entry) {
+  const GridPoint cell(
+      std::span<const uint32_t>(Unshuffle(grid, entry.key.ToZValue())));
+  return object.ContainsCell(cell);
+}
+
 void FillCursorStats(const btree::BTree::Cursor& cursor, QueryStats* stats) {
   if (stats == nullptr) return;
   stats->leaf_pages = cursor.leaf_loads();
   stats->internal_pages = cursor.internal_loads();
   stats->entries_on_touched_pages = cursor.leaf_entries_seen();
-}
-
-void AccumulateStats(QueryStats* into, const QueryStats& part) {
-  into->leaf_pages += part.leaf_pages;
-  into->internal_pages += part.internal_pages;
-  into->points_scanned += part.points_scanned;
-  into->elements_generated += part.elements_generated;
-  into->classify_calls += part.classify_calls;
-  into->point_seeks += part.point_seeks;
-  into->results += part.results;
-  into->entries_on_touched_pages += part.entries_on_touched_pages;
-  into->contained_elements += part.contained_elements;
-  into->materialized_rows += part.materialized_rows;
 }
 
 // Interior split points for `partitions` contiguous slices of the z span
@@ -148,19 +153,11 @@ bool ZkdIndex::Delete(const GridPoint& point, uint64_t id) {
 std::vector<uint64_t> ZkdIndex::RangeSearch(const GridBox& box,
                                             QueryStats* stats,
                                             const SearchOptions& options) const {
-  // When the caller doesn't want stats but metrics are on, collect into a
-  // local so the registry still sees the query.
-  QueryStats local;
-  QueryStats* s = stats != nullptr ? stats : (obs::Enabled() ? &local : nullptr);
-  std::vector<uint64_t> results;
   if (options.merge == SearchOptions::Merge::kBigMin) {
-    results = SearchBigMin(box, s);
-  } else {
-    const geometry::BoxObject object(box);
-    results = SearchDecomposed(object, s, options);
+    return SearchBigMin(box, stats);
   }
-  FlushQueryMetrics(s, results.size());
-  return results;
+  const geometry::BoxObject object(box);
+  return SearchDecomposed(object, stats, options);
 }
 
 std::vector<uint64_t> ZkdIndex::SearchObject(
@@ -170,11 +167,7 @@ std::vector<uint64_t> ZkdIndex::SearchObject(
   if (effective.merge == SearchOptions::Merge::kBigMin) {
     effective.merge = SearchOptions::Merge::kSkipMerge;  // needs a box
   }
-  QueryStats local;
-  QueryStats* s = stats != nullptr ? stats : (obs::Enabled() ? &local : nullptr);
-  std::vector<uint64_t> results = SearchDecomposed(object, s, effective);
-  FlushQueryMetrics(s, results.size());
-  return results;
+  return SearchDecomposed(object, stats, effective);
 }
 
 uint64_t ZkdIndex::CountRange(uint64_t zlo, uint64_t zhi,
@@ -190,85 +183,30 @@ uint64_t ZkdIndex::CountRange(uint64_t zlo, uint64_t zhi,
     FillCursorStats(cursor, &part);
     part.point_seeks = 1;
     part.results = count;
-    AccumulateStats(stats, part);
+    *stats += part;
   }
   return count;
 }
 
 uint64_t ZkdIndex::CountBox(const geometry::GridBox& box, QueryStats* stats,
                             const SearchOptions& options) const {
-  const int total = grid_.total_bits();
-  const geometry::BoxObject object(box);
-  decompose::DecomposeOptions dopts;
-  dopts.max_depth = options.max_element_depth;
-  decompose::ElementGenerator generator(grid_, object, dopts);
-
-  // At full depth every element region lies inside the box, so whole
-  // elements count by interval arithmetic; a depth cap makes boundary
-  // elements overcover and forces per-row verification (same criterion
-  // as MergePartition).
-  const bool verify =
-      options.verify_candidates && options.max_element_depth >= 0 &&
-      options.max_element_depth < total;
-
+  // At full depth every element lies inside the box, so whole elements
+  // count by run and leaf-header arithmetic; a depth cap makes boundary
+  // elements overcover, so their rows materialize and are verified.
   storage::PinBalanceScope pin_scope("ZkdIndex::CountBox");
-  btree::BTree::Cursor cursor(&tree_);
-  QueryStats part;
-  uint64_t count = 0;
-  ZValue element;
-
-  bool have_element = generator.Next(&element);
-  if (have_element) {
-    uint64_t zlo = element.RangeLo(total);
-    uint64_t zhi = element.RangeHi(total);
-    ++part.point_seeks;
-    bool have_point = cursor.Seek(IntegerKey(grid_, zlo));
-    while (have_point) {
-      const uint64_t pz = cursor.entry().key.ToZValue().ToInteger();
-      if (pz < zlo) {
-        ++part.point_seeks;
-        have_point = cursor.Seek(IntegerKey(grid_, zlo));
-        continue;
-      }
-      if (pz <= zhi) {
-        if (!verify) {
-          // Contained element: sum run lengths and whole-leaf header
-          // counts; no row is decoded or materialized.
-          ++part.contained_elements;
-          count += cursor.CountWhileLE(zhi);
-          have_point = cursor.Valid();
-        } else {
-          while (have_point) {
-            const uint64_t qz = cursor.entry().key.ToZValue().ToInteger();
-            if (qz > zhi) break;
-            ++part.points_scanned;
-            ++part.materialized_rows;
-            const GridPoint candidate(std::span<const uint32_t>(
-                Unshuffle(grid_, cursor.entry().key.ToZValue())));
-            if (object.ContainsCell(candidate)) ++count;
-            have_point = cursor.Next();
-          }
-        }
-        continue;  // the cursor now sits past zhi (or is exhausted)
-      }
-      // The point ran past the element: random access on B.
-      if (!generator.SeekForward(pz, &element)) break;
-      zlo = element.RangeLo(total);
-      zhi = element.RangeHi(total);
-      if (pz < zlo) {
-        ++part.point_seeks;
-        have_point = cursor.Seek(IntegerKey(grid_, zlo));
-      }
+  RangeCursor merge(*this, box, options);
+  uint64_t materialized = 0;
+  while (merge.Step()) {
+    if (merge.verify()) {
+      materialized += static_cast<uint64_t>(merge.TakeRun(nullptr));
+    } else {
+      merge.TakeElement();
     }
   }
-
-  FillCursorStats(cursor, &part);
-  part.elements_generated = generator.elements_emitted();
-  part.classify_calls = generator.classify_calls();
-  part.results = count;
-  if (stats != nullptr) AccumulateStats(stats, part);
-  FlushQueryMetrics(&part, static_cast<size_t>(count));
-  return count;
+  QueryStats part = merge.stats();
+  part.materialized_rows = materialized;
+  if (stats != nullptr) *stats += part;
+  return part.results;
 }
 
 std::vector<uint64_t> ZkdIndex::PartialMatch(
@@ -287,127 +225,18 @@ std::vector<uint64_t> ZkdIndex::PartialMatch(
   return RangeSearch(GridBox(ranges), stats, options);
 }
 
-void ZkdIndex::MergePartition(const geometry::SpatialObject& object,
-                              uint64_t owned_lo, uint64_t owned_hi,
-                              const SearchOptions& options,
-                              std::vector<uint64_t>* results,
-                              QueryStats* stats) const {
-  const int total = grid_.total_bits();
-  decompose::DecomposeOptions dopts;
-  dopts.max_depth = options.max_element_depth;
-  decompose::ElementGenerator generator(grid_, object, dopts);
-
-  // Decide whether candidate verification can ever reject: a full-depth
-  // element is exact for any classifier (a one-cell crossing region is
-  // decided by the classifier itself for boxes; for general objects the
-  // boundary cell counts as inside per the grid approximation), so
-  // verification only matters when the decomposition is depth-capped.
-  const bool verify =
-      options.verify_candidates && options.max_element_depth >= 0 &&
-      options.max_element_depth < total;
-
-  auto report = [&](const LeafEntry& entry) {
-    if (verify) {
-      const GridPoint candidate(std::span<const uint32_t>(
-          Unshuffle(grid_, entry.key.ToZValue())));
-      if (!object.ContainsCell(candidate)) return;
-    }
-    results->push_back(entry.payload);
-  };
-
-  // Merge-order invariants (Section 3.3): the element sequence B advances
-  // strictly in z order, and reported points never move backwards. Every
-  // page pinned by this partition is released before it returns — the
-  // scope must outlive the cursor, which keeps its current leaf pinned.
-  storage::PinBalanceScope pin_scope("ZkdIndex::MergePartition");
-
-  btree::BTree::Cursor cursor(&tree_);
-  ZValue element;
-  uint64_t points_scanned = 0;
-  uint64_t point_seeks = 0;
-
-  check::ZMonotone element_order(/*strict=*/true);
-  check::ZMonotone report_order(/*strict=*/false);
-
-  // The optimized merge of Section 3.3: random access on B (SeekForward)
-  // and on P (Seek) skips the parts of the space that cannot contribute.
-  // Ownership: this partition merges exactly the elements whose range
-  // *starts* in [owned_lo, owned_hi]. Elements are pairwise disjoint in z,
-  // so at most one element straddles owned_lo — it belongs to the previous
-  // partition and is skipped; a straddler of owned_hi is merged here in
-  // full.
-  bool have_element = owned_lo == 0
-                          ? generator.Next(&element)
-                          : generator.SeekForward(owned_lo, &element);
-  while (have_element && element.RangeLo(total) < owned_lo) {
-    have_element = generator.Next(&element);
-  }
-  if (have_element && element.RangeLo(total) > owned_hi) have_element = false;
-  if (have_element) {
-    uint64_t zlo = element.RangeLo(total);
-    uint64_t zhi = element.RangeHi(total);
-    PROBE_AUDIT(element_order.Observe(zlo, "skip-merge element sequence"));
-    ++point_seeks;
-    bool have_point = cursor.Seek(IntegerKey(grid_, zlo));
-    while (have_point) {
-      const uint64_t pz = cursor.entry().key.ToZValue().ToInteger();
-      ++points_scanned;
-      if (pz < zlo) {
-        // Random access on P: jump to the element's start.
-        ++point_seeks;
-        have_point = cursor.Seek(IntegerKey(grid_, zlo));
-        continue;
-      }
-      if (pz <= zhi) {
-        // The point is inside the element: consume the whole run of
-        // qualifying entries on this leaf at once. RunLengthLE is the
-        // SIMD interval filter over the leaf's decoded z array; the
-        // outer loop re-enters here when the element straddles leaves.
-        const int run = cursor.RunLengthLE(zhi);
-        for (int k = 0; k < run; ++k) {
-          PROBE_AUDIT(report_order.Observe(cursor.PeekZ(k),
-                                           "skip-merge reported points"));
-          report(cursor.PeekEntry(k));
-        }
-        // The first run entry was already counted at the loop head.
-        points_scanned += static_cast<uint64_t>(run) - 1;
-        have_point = cursor.Advance(run);
-        continue;
-      }
-      // pz ran past the element: random access on B.
-      if (!generator.SeekForward(pz, &element)) break;
-      zlo = element.RangeLo(total);
-      zhi = element.RangeHi(total);
-      PROBE_AUDIT(element_order.Observe(zlo, "skip-merge element sequence"));
-      if (zlo > owned_hi) break;  // the next element is another partition's
-      if (pz < zlo) {
-        ++point_seeks;
-        have_point = cursor.Seek(IntegerKey(grid_, zlo));
-      }
-      // Otherwise the current point lies inside the new element and the
-      // next loop iteration reports it.
-    }
-  }
-
-  QueryStats part;
-  FillCursorStats(cursor, &part);
-  part.points_scanned = points_scanned;
-  part.point_seeks = point_seeks;
-  part.elements_generated = generator.elements_emitted();
-  part.classify_calls = generator.classify_calls();
-  part.results = results->size();
-  AccumulateStats(stats, part);
-}
-
 std::vector<uint64_t> ZkdIndex::SearchDecomposed(
     const geometry::SpatialObject& object, QueryStats* stats,
     const SearchOptions& options) const {
   std::vector<uint64_t> results;
 
   if (options.merge != SearchOptions::Merge::kPlainMerge) {
-    QueryStats merged;
-    MergePartition(object, 0, ~0ULL, options, &results, &merged);
-    if (stats != nullptr) *stats = merged;
+    // Every page the merge pins is released before it returns; the scope
+    // must outlive the cursor, which keeps its current leaf pinned.
+    storage::PinBalanceScope pin_scope("ZkdIndex::SearchDecomposed");
+    RangeCursor merge(*this, object, options);
+    while (merge.Step()) merge.TakeRun(&results);
+    if (stats != nullptr) *stats = merge.stats();
     return results;
   }
 
@@ -416,16 +245,10 @@ std::vector<uint64_t> ZkdIndex::SearchDecomposed(
   decompose::DecomposeOptions dopts;
   dopts.max_depth = options.max_element_depth;
   decompose::ElementGenerator generator(grid_, object, dopts);
-  const bool verify =
-      options.verify_candidates && options.max_element_depth >= 0 &&
-      options.max_element_depth < total;
+  const bool verify = MustVerify(grid_, options);
 
   auto report = [&](const LeafEntry& entry) {
-    if (verify) {
-      const GridPoint candidate(std::span<const uint32_t>(
-          Unshuffle(grid_, entry.key.ToZValue())));
-      if (!object.ContainsCell(candidate)) return;
-    }
+    if (verify && !ObjectHolds(grid_, object, entry)) return;
     results.push_back(entry.payload);
   };
 
@@ -450,14 +273,14 @@ std::vector<uint64_t> ZkdIndex::SearchDecomposed(
     }
   }
 
-  if (stats != nullptr) {
-    FillCursorStats(cursor, stats);
-    stats->points_scanned = points_scanned;
-    stats->point_seeks = 0;
-    stats->elements_generated = generator.elements_emitted();
-    stats->classify_calls = generator.classify_calls();
-    stats->results = results.size();
-  }
+  QueryStats part;
+  FillCursorStats(cursor, &part);
+  part.points_scanned = points_scanned;
+  part.elements_generated = generator.elements_emitted();
+  part.classify_calls = generator.classify_calls();
+  part.results = results.size();
+  if (stats != nullptr) *stats = part;
+  FlushQueryMetrics(&part, results.size());
   return results;
 }
 
@@ -498,7 +321,7 @@ void ZkdIndex::BigMinPartition(uint64_t zmin, uint64_t zmax, uint64_t from,
   part.points_scanned = points_scanned;
   part.point_seeks = point_seeks;
   part.results = results->size();
-  AccumulateStats(stats, part);
+  *stats += part;
 }
 
 std::vector<uint64_t> ZkdIndex::SearchBigMin(const GridBox& box,
@@ -516,6 +339,7 @@ std::vector<uint64_t> ZkdIndex::SearchBigMin(const GridBox& box,
   QueryStats merged;
   BigMinPartition(zmin, zmax, zmin, zmax, &results, &merged);
   if (stats != nullptr) *stats = merged;
+  FlushQueryMetrics(&merged, results.size());
   return results;
 }
 
@@ -524,23 +348,18 @@ std::vector<uint64_t> ZkdIndex::ParallelDecomposed(
     std::span<const uint64_t> split_points, util::ThreadPool& pool,
     QueryStats* stats, const SearchOptions& options) const {
   const size_t parts = split_points.size() + 1;
-  std::vector<std::vector<uint64_t>> partial(parts);
-  std::vector<QueryStats> partial_stats(parts);
-  pool.ParallelFor(parts, [&](size_t k) {
-    const uint64_t lo = k == 0 ? 0 : split_points[k - 1];
-    const uint64_t hi = k + 1 == parts ? ~0ULL : split_points[k] - 1;
-    MergePartition(object, lo, hi, options, &partial[k], &partial_stats[k]);
-  });
-
-  size_t total_results = 0;
-  for (const auto& p : partial) total_results += p.size();
-  std::vector<uint64_t> results;
-  results.reserve(total_results);
-  for (size_t k = 0; k < parts; ++k) {
-    results.insert(results.end(), partial[k].begin(), partial[k].end());
-    if (stats != nullptr) AccumulateStats(stats, partial_stats[k]);
-  }
-  return results;
+  return GatherInOrder<uint64_t>(
+      pool, parts, stats, [&](size_t k, QueryStats* part) {
+        const uint64_t lo = k == 0 ? 0 : split_points[k - 1];
+        const uint64_t hi = k + 1 == parts ? ~0ULL : split_points[k] - 1;
+        storage::PinBalanceScope pin_scope("ZkdIndex::ParallelDecomposed");
+        RangeCursor merge(*this, object, options, lo, hi);
+        std::vector<uint64_t> ids;
+        while (merge.Step()) merge.TakeRun(&ids);
+        // The caller flushes the partitions' sum as one query.
+        *part = merge.TakeStats();
+        return ids;
+      });
 }
 
 std::vector<uint64_t> ZkdIndex::ParallelRangeSearch(
@@ -578,22 +397,14 @@ std::vector<uint64_t> ZkdIndex::ParallelRangeSearch(
 
   if (options.merge == SearchOptions::Merge::kBigMin) {
     const size_t bparts = splits.size() + 1;
-    std::vector<std::vector<uint64_t>> partial(bparts);
-    std::vector<QueryStats> partial_stats(bparts);
-    pool.ParallelFor(bparts, [&](size_t k) {
-      const uint64_t from = k == 0 ? zmin : splits[k - 1];
-      const uint64_t upto = k + 1 == bparts ? zmax : splits[k] - 1;
-      BigMinPartition(zmin, zmax, from, upto, &partial[k],
-                      &partial_stats[k]);
-    });
-    size_t total_results = 0;
-    for (const auto& p : partial) total_results += p.size();
-    std::vector<uint64_t> results;
-    results.reserve(total_results);
-    for (size_t k = 0; k < bparts; ++k) {
-      results.insert(results.end(), partial[k].begin(), partial[k].end());
-      if (stats != nullptr) AccumulateStats(stats, partial_stats[k]);
-    }
+    std::vector<uint64_t> results = GatherInOrder<uint64_t>(
+        pool, bparts, stats, [&](size_t k, QueryStats* part) {
+          const uint64_t from = k == 0 ? zmin : splits[k - 1];
+          const uint64_t upto = k + 1 == bparts ? zmax : splits[k] - 1;
+          std::vector<uint64_t> ids;
+          BigMinPartition(zmin, zmax, from, upto, &ids, part);
+          return ids;
+        });
     FlushQueryMetrics(stats, results.size());
     return results;
   }
@@ -622,70 +433,163 @@ std::vector<uint64_t> ZkdIndex::ParallelSearchObject(
 }
 
 ZkdIndex::RangeCursor::RangeCursor(const ZkdIndex& index,
-                                   const geometry::GridBox& box)
-    : index_(index), box_object_(box) {
-  generator_ = std::make_unique<decompose::ElementGenerator>(index_.grid_,
-                                                             box_object_);
-  cursor_ = std::make_unique<btree::BTree::Cursor>(&index_.tree_);
-  zorder::ZValue element;
-  have_element_ = generator_->Next(&element);
-  if (have_element_) {
-    const int total = index_.grid_.total_bits();
-    zlo_ = element.RangeLo(total);
-    zhi_ = element.RangeHi(total);
-    ++stats_.point_seeks;
-    have_point_ = cursor_->Seek(IntegerKey(index_.grid_, zlo_));
+                                   const geometry::SpatialObject& object,
+                                   const SearchOptions& options,
+                                   uint64_t owned_lo, uint64_t owned_hi)
+    : RangeCursor(index, nullptr, &object, options, owned_lo, owned_hi) {}
+
+ZkdIndex::RangeCursor::RangeCursor(const ZkdIndex& index,
+                                   const geometry::GridBox& box,
+                                   const SearchOptions& options)
+    : RangeCursor(index, &box, nullptr, options, 0, ~0ULL) {}
+
+ZkdIndex::RangeCursor::RangeCursor(const ZkdIndex& index,
+                                   const geometry::GridBox* box,
+                                   const geometry::SpatialObject* object,
+                                   const SearchOptions& options,
+                                   uint64_t owned_lo, uint64_t owned_hi)
+    : index_(index),
+      box_(box != nullptr ? std::optional<geometry::BoxObject>(*box)
+                          : std::nullopt),
+      object_(box_.has_value() ? *box_ : *object),
+      verify_(MustVerify(index.grid_, options)),
+      owned_lo_(owned_lo),
+      owned_hi_(owned_hi),
+      generator_(index.grid_, object_,
+                 decompose::DecomposeOptions{.max_depth =
+                                                 options.max_element_depth}),
+      cursor_(&index.tree_) {
+  if (NextElement(owned_lo_)) {
+    ++counted_.point_seeks;
+    have_point_ = cursor_.Seek(IntegerKey(index_.grid_, zlo_));
   }
 }
 
 ZkdIndex::RangeCursor::~RangeCursor() {
-  // A cursor is one query from the registry's point of view: flush its
-  // aggregates when it dies, however far the caller drained it.
-  FlushQueryMetrics(&stats_, stats_.results);
+  // However far the caller drained it, the cursor was one query.
+  if (report_) {
+    const QueryStats final_stats = stats();
+    FlushQueryMetrics(&final_stats, final_stats.results);
+  }
 }
 
-bool ZkdIndex::RangeCursor::Next(uint64_t* id, geometry::GridPoint* point) {
+bool ZkdIndex::RangeCursor::NextElement(uint64_t target) {
   const int total = index_.grid_.total_bits();
-  bool found = false;
-  while (have_point_ && have_element_) {
-    const uint64_t pz = cursor_->entry().key.ToZValue().ToInteger();
-    ++stats_.points_scanned;
+  zorder::ZValue element;
+  // invariant-lint waiver(private-merge): the one Section 3.3 merge.
+  bool have_element = generator_.SeekForward(target, &element);
+  // Ownership: this cursor merges exactly the elements whose range
+  // *starts* in [owned_lo, owned_hi]. Elements are pairwise disjoint in z,
+  // so at most one element straddles owned_lo — it belongs to the previous
+  // partition and is skipped; a straddler of owned_hi is merged here in
+  // full.
+  while (have_element && element.RangeLo(total) < owned_lo_) {
+    have_element = generator_.Next(&element);
+  }
+  if (!have_element) return false;
+  zlo_ = element.RangeLo(total);
+  zhi_ = element.RangeHi(total);
+  PROBE_AUDIT(element_order_.Observe(zlo_, "skip-merge element sequence"));
+  return zlo_ <= owned_hi_;  // past owned_hi it is another partition's
+}
+
+bool ZkdIndex::RangeCursor::Step() {
+  assert(!positioned_ && "take from the element before stepping again");
+  while (have_point_) {
+    const uint64_t pz = cursor_.entry().key.ToZValue().ToInteger();
+    ++counted_.points_scanned;
     if (pz < zlo_) {
-      ++stats_.point_seeks;
-      have_point_ = cursor_->Seek(IntegerKey(index_.grid_, zlo_));
+      // Random access on P: jump to the element's start.
+      ++counted_.point_seeks;
+      have_point_ = cursor_.Seek(IntegerKey(index_.grid_, zlo_));
       continue;
     }
     if (pz <= zhi_) {
-      PROBE_AUDIT(match_order_.Observe(pz, "RangeCursor match stream"));
-      *id = cursor_->entry().payload;
-      if (point != nullptr) {
-        *point = geometry::GridPoint(std::span<const uint32_t>(
-            Unshuffle(index_.grid_, cursor_->entry().key.ToZValue())));
-      }
-      ++stats_.results;
-      have_point_ = cursor_->Next();
-      found = true;
-      break;
+      positioned_ = true;
+      return true;
     }
-    --stats_.points_scanned;  // this point is re-examined next round
-    zorder::ZValue element;
-    if (!generator_->SeekForward(pz, &element)) {
-      have_element_ = false;
-      break;
-    }
-    zlo_ = element.RangeLo(total);
-    zhi_ = element.RangeHi(total);
+    // pz ran past the element: random access on B.
+    if (!NextElement(pz)) break;
     if (pz < zlo_) {
-      ++stats_.point_seeks;
-      have_point_ = cursor_->Seek(IntegerKey(index_.grid_, zlo_));
+      ++counted_.point_seeks;
+      have_point_ = cursor_.Seek(IntegerKey(index_.grid_, zlo_));
     }
+    // Otherwise the current point lies inside the new element and the
+    // next iteration lands on it.
   }
-  stats_.leaf_pages = cursor_->leaf_loads();
-  stats_.internal_pages = cursor_->internal_loads();
-  stats_.entries_on_touched_pages = cursor_->leaf_entries_seen();
-  stats_.elements_generated = generator_->elements_emitted();
-  stats_.classify_calls = generator_->classify_calls();
-  return found;
+  have_point_ = false;
+  return false;
+}
+
+bool ZkdIndex::RangeCursor::Matches(const LeafEntry& entry) const {
+  return !verify_ || ObjectHolds(index_.grid_, object_, entry);
+}
+
+void ZkdIndex::RangeCursor::Consumed(int n) {
+  // Step already counted the first entry.
+  counted_.points_scanned += static_cast<uint64_t>(n) - 1;
+  have_point_ = cursor_.Advance(n);
+  positioned_ = false;
+}
+
+int ZkdIndex::RangeCursor::TakeRun(std::vector<uint64_t>* ids) {
+  assert(positioned_);
+  // RunLengthLE is the SIMD interval filter over the leaf's decoded z
+  // array; Step re-enters the element when it straddles leaves.
+  const int run = cursor_.RunLengthLE(zhi_);
+  for (int k = 0; k < run; ++k) {
+    PROBE_AUDIT(report_order_.Observe(cursor_.PeekZ(k),
+                                      "skip-merge reported points"));
+    const LeafEntry& entry = cursor_.PeekEntry(k);
+    if (!Matches(entry)) continue;
+    ++counted_.results;
+    if (ids != nullptr) ids->push_back(entry.payload);
+  }
+  Consumed(run);
+  return run;
+}
+
+uint64_t ZkdIndex::RangeCursor::TakeElement() {
+  assert(positioned_);
+  // Sums run lengths and whole-leaf header counts; no row is decoded.
+  const uint64_t count = cursor_.CountWhileLE(zhi_);
+  ++counted_.contained_elements;
+  counted_.results += count;
+  have_point_ = cursor_.Valid();
+  positioned_ = false;
+  return count;
+}
+
+bool ZkdIndex::RangeCursor::Next(uint64_t* id, geometry::GridPoint* point) {
+  while (Step()) {
+    const LeafEntry entry = cursor_.entry();
+    PROBE_AUDIT(report_order_.Observe(entry.key.ToZValue().ToInteger(),
+                                      "skip-merge reported points"));
+    const bool match = Matches(entry);
+    Consumed(1);
+    if (!match) continue;
+    ++counted_.results;
+    *id = entry.payload;
+    if (point != nullptr) {
+      *point = GridPoint(std::span<const uint32_t>(
+          Unshuffle(index_.grid_, entry.key.ToZValue())));
+    }
+    return true;
+  }
+  return false;
+}
+
+QueryStats ZkdIndex::RangeCursor::stats() const {
+  QueryStats out = counted_;
+  FillCursorStats(cursor_, &out);
+  out.elements_generated = generator_.elements_emitted();
+  out.classify_calls = generator_.classify_calls();
+  return out;
+}
+
+QueryStats ZkdIndex::RangeCursor::TakeStats() {
+  report_ = false;
+  return stats();
 }
 
 std::vector<ZkdIndex::LeafInfo> ZkdIndex::LeafPartitions() const {

@@ -2,10 +2,10 @@
 #define PROBE_INDEX_ZKD_INDEX_H_
 
 #include <cstdint>
+#include <iterator>
+#include <optional>
 #include <span>
 #include <vector>
-
-#include <memory>
 
 #include "btree/btree.h"
 #include "btree/external_sort.h"
@@ -44,13 +44,23 @@ struct PointRecord {
   uint64_t id = 0;
 };
 
+/// A matching point with its record identifier: one row of a BOX answer,
+/// in the answer's z order.
+struct Row {
+  uint64_t id = 0;
+  geometry::GridPoint point;
+};
+
 /// Work and I/O counters for one query.
 struct QueryStats {
   /// Leaf ("data") pages entered — the paper's page-access metric.
   uint64_t leaf_pages = 0;
   /// Internal pages touched by Seek descents.
   uint64_t internal_pages = 0;
-  /// Entries examined during the merge.
+  /// Entries whose z the merge compared: one per entry the merge steps
+  /// onto (an entry that ran past an element counts again when the next
+  /// element re-examines it), plus the rest of each consumed run. An
+  /// element counted wholesale (contained_elements) adds only its first.
   uint64_t points_scanned = 0;
   /// Elements of the query object produced by the generator.
   uint64_t elements_generated = 0;
@@ -68,6 +78,23 @@ struct QueryStats {
   /// Rows an aggregate had to materialize and verify individually (only
   /// depth-capped decompositions, whose boundary elements overcover).
   uint64_t materialized_rows = 0;
+
+  bool operator==(const QueryStats&) const = default;
+
+  /// Adds every counter of `other` (partitions and shards of one query).
+  QueryStats& operator+=(const QueryStats& other) {
+    leaf_pages += other.leaf_pages;
+    internal_pages += other.internal_pages;
+    points_scanned += other.points_scanned;
+    elements_generated += other.elements_generated;
+    classify_calls += other.classify_calls;
+    point_seeks += other.point_seeks;
+    results += other.results;
+    entries_on_touched_pages += other.entries_on_touched_pages;
+    contained_elements += other.contained_elements;
+    materialized_rows += other.materialized_rows;
+    return *this;
+  }
 
   /// The paper's efficiency measure: fraction of retrieved data that was
   /// relevant (results / entries_on_touched_pages); 1 when nothing was
@@ -95,6 +122,31 @@ struct SearchOptions {
   /// full depth where elements are exact.
   bool verify_candidates = true;
 };
+
+/// The one ordered gather: runs `parts` independent parts on `pool` — part
+/// k as `part(k, &stats_k)`, returning a vector — concatenates the vectors
+/// in part order and adds every part's counters to `*stats` (may be null).
+/// When part k's z interval precedes part k+1's and each part answers in z
+/// order, the concatenation is the serial answer; nothing is sorted.
+template <typename T, typename Part>
+std::vector<T> GatherInOrder(util::ThreadPool& pool, size_t parts,
+                             QueryStats* stats, const Part& part) {
+  std::vector<std::vector<T>> partial(parts);
+  std::vector<QueryStats> partial_stats(parts);
+  pool.ParallelFor(parts, [&](size_t k) {
+    partial[k] = part(k, &partial_stats[k]);
+  });
+  size_t total = 0;
+  for (const auto& p : partial) total += p.size();
+  std::vector<T> out;
+  out.reserve(total);
+  for (size_t k = 0; k < parts; ++k) {
+    out.insert(out.end(), std::make_move_iterator(partial[k].begin()),
+               std::make_move_iterator(partial[k].end()));
+    if (stats != nullptr) *stats += partial_stats[k];
+  }
+  return out;
+}
 
 /// Point index over a z-ordered prefix B+-tree.
 class ZkdIndex {
@@ -209,36 +261,100 @@ class ZkdIndex {
       int partitions = 0, QueryStats* stats = nullptr,
       const SearchOptions& options = {}) const;
 
-  /// Streaming range query: pulls matching points one at a time instead of
-  /// materializing the result vector — the shape a query executor's
-  /// iterator tree wants. Runs the same skip merge as RangeSearch.
+  /// The Section 3.3 skip merge — its one implementation. It merges the
+  /// point sequence P (the B+-tree) with the lazily generated elements B of
+  /// `object`, with random access on both sides, over the elements whose z
+  /// range starts inside the owned interval [owned_lo, owned_hi] (a
+  /// partition of a parallel query; the default owns every element).
+  ///
+  /// Step contract: Step() advances B (SeekForward) and P (Seek) until the
+  /// tree cursor sits on an entry inside the current element; the caller
+  /// then consumes a non-empty prefix of that element's entries — a run
+  /// (TakeRun), the whole element (TakeElement) or one entry (Next) — and
+  /// steps again. The merge owns the candidate check (verification of
+  /// depth-capped boundary elements) and every counter, so each way of
+  /// consuming does the same work and reports the same QueryStats.
+  ///
+  /// A cursor is one query for the metrics registry: it flushes its
+  /// counters when it dies, unless TakeStats() handed them to a caller
+  /// that reports them as part of a larger query.
   class RangeCursor {
    public:
-    /// The index and box must outlive the cursor.
-    RangeCursor(const ZkdIndex& index, const geometry::GridBox& box);
+    /// The index and object must outlive the cursor. `options.merge` is
+    /// not consulted: this is the skip merge.
+    RangeCursor(const ZkdIndex& index, const geometry::SpatialObject& object,
+                const SearchOptions& options = {}, uint64_t owned_lo = 0,
+                uint64_t owned_hi = ~0ULL);
+    /// Box form: the cursor keeps its own BoxObject; only the index must
+    /// outlive it.
+    RangeCursor(const ZkdIndex& index, const geometry::GridBox& box,
+                const SearchOptions& options = {});
     ~RangeCursor();
 
-    RangeCursor(RangeCursor&&) = default;
+    RangeCursor(const RangeCursor&) = delete;
+    RangeCursor& operator=(const RangeCursor&) = delete;
 
-    /// Fetches the next match (ascending z order). Returns false at the
-    /// end. `point` may be null when only ids are wanted.
+    /// Positions the tree cursor on the next entry inside an element.
+    /// False when the merge is done (and on every later call).
+    bool Step();
+
+    /// Consumes the current element's entries on the current leaf (at
+    /// least one), appending the id of each that passes the candidate
+    /// check to `ids` (null: count only). Returns the run length.
+    int TakeRun(std::vector<uint64_t>* ids);
+
+    /// Counts all of the current element's entries without decoding a row
+    /// (run and leaf-header arithmetic), for callers that need no
+    /// candidate check — see verify(). Returns the count.
+    uint64_t TakeElement();
+
+    /// True when candidates must be verified against the object: only a
+    /// depth-capped decomposition has elements that overcover.
+    bool verify() const { return verify_; }
+
+    /// Streaming form: the next match in ascending z order, one entry per
+    /// step. False at the end. `point` may be null when only ids are
+    /// wanted.
     bool Next(uint64_t* id, geometry::GridPoint* point = nullptr);
 
-    /// Work counters so far (results counts the Next() successes).
-    const QueryStats& stats() const { return stats_; }
+    /// Work counters so far (results counts the matches taken).
+    QueryStats stats() const;
+
+    /// The counters, with the duty to report them: the cursor no longer
+    /// flushes them to the registry when it dies.
+    QueryStats TakeStats();
 
    private:
+    RangeCursor(const ZkdIndex& index, const geometry::GridBox* box,
+                const geometry::SpatialObject* object,
+                const SearchOptions& options, uint64_t owned_lo,
+                uint64_t owned_hi);
+
+    // Moves B to the first element ending at or after `target` that this
+    // cursor owns; false when there is none.
+    bool NextElement(uint64_t target);
+    // Candidate check for one entry of the current element.
+    bool Matches(const btree::LeafEntry& entry) const;
+    // Bookkeeping after the caller consumed `n` entries of the element.
+    void Consumed(int n);
+
     const ZkdIndex& index_;
-    geometry::BoxObject box_object_;
-    std::unique_ptr<decompose::ElementGenerator> generator_;
-    std::unique_ptr<btree::BTree::Cursor> cursor_;
+    std::optional<geometry::BoxObject> box_;
+    const geometry::SpatialObject& object_;
+    const bool verify_;
+    const uint64_t owned_lo_;
+    const uint64_t owned_hi_;
+    decompose::ElementGenerator generator_;
+    btree::BTree::Cursor cursor_;
     uint64_t zlo_ = 0;
     uint64_t zhi_ = 0;
-    bool have_element_ = false;
     bool have_point_ = false;
-    QueryStats stats_;
-    // Audit state: matches must stream in non-decreasing z order.
-    check::ZMonotone match_order_;
+    bool positioned_ = false;  // Step() returned true; nothing taken yet
+    bool report_ = true;       // flush the counters at destruction
+    QueryStats counted_;       // the counters the merge keeps itself
+    // Audit state: B advances strictly in z; matches never move back.
+    check::ZMonotone element_order_{/*strict=*/true};
+    check::ZMonotone report_order_{/*strict=*/false};
   };
 
   /// First key of every leaf page, in z order, plus per-leaf entry counts.
@@ -268,16 +384,6 @@ class ZkdIndex {
                                          const SearchOptions& options) const;
   std::vector<uint64_t> SearchBigMin(const geometry::GridBox& box,
                                      QueryStats* stats) const;
-
-  // One partition of the skip merge: runs the Section 3.3 merge over the
-  // elements of `object` whose z range starts in [owned_lo, owned_hi]
-  // (both inclusive, full-resolution z integers). With [0, ~0] this *is*
-  // the serial skip merge. Appends matches to `results` and accumulates
-  // counters into `stats` (required non-null).
-  void MergePartition(const geometry::SpatialObject& object,
-                      uint64_t owned_lo, uint64_t owned_hi,
-                      const SearchOptions& options,
-                      std::vector<uint64_t>* results, QueryStats* stats) const;
 
   // One partition of the BIGMIN merge: scans points with z in
   // [from, upto] against the box [zmin, zmax] corners.

@@ -97,23 +97,16 @@ class ZkdRangeScanNode final : public PlanNode {
  protected:
   void DoOpen() override {
     ScopedTimer timer(&stats_.ms);
-    // The streaming cursor runs the default skip merge only; capped or
-    // non-default merges materialize through RangeSearch. Results are
-    // identical either way (same merge, same z order).
-    const bool default_options =
-        options_.merge == index::SearchOptions::Merge::kSkipMerge &&
-        options_.max_element_depth < 0 && options_.verify_candidates;
-    if (pool_ == nullptr && default_options) {
-      cursor_.emplace(index_, box_);
+    // A serial scan streams through the skip merge; only a pooled scan
+    // materializes. Results are identical either way (same merge, same z
+    // order).
+    if (pool_ == nullptr) {
+      cursor_.emplace(index_, box_, options_);
       return;
     }
     index::QueryStats qstats;
-    if (pool_ != nullptr) {
-      ids_ = index_.ParallelRangeSearch(box_, *pool_, partitions_, &qstats,
-                                        options_);
-    } else {
-      ids_ = index_.RangeSearch(box_, &qstats, options_);
-    }
+    ids_ = index_.ParallelRangeSearch(box_, *pool_, partitions_, &qstats,
+                                      options_);
     stats_.actual_pages = qstats.leaf_pages;
     stats_.actual_elements = qstats.elements_generated;
   }

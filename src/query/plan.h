@@ -158,9 +158,10 @@ class PlanNode {
 // ------------------------------------------------------------- leaf scans
 
 /// Range scan over the zkd index. With `pool` null the scan is the serial
-/// skip merge (streamed through ZkdIndex::RangeCursor when `options` are
-/// the defaults, materialized otherwise); with a pool it is
-/// ParallelRangeSearch cut into `partitions` z intervals. Output schema:
+/// skip merge, streamed through ZkdIndex::RangeCursor (which honors the
+/// depth cap and verification of `options` and always skip-merges); with a
+/// pool it is ParallelRangeSearch cut into `partitions` z intervals,
+/// materialized. Output schema:
 /// (id: int), in z order — bitwise identical between the two forms.
 std::unique_ptr<PlanNode> MakeZkdRangeScan(const index::ZkdIndex& index,
                                            const geometry::GridBox& box,

@@ -10,6 +10,7 @@
 #include "geometry/box.h"
 #include "geometry/point.h"
 #include "index/nearest.h"
+#include "index/zkd_index.h"
 
 /// \file
 /// The spatial query server's binary wire protocol.
@@ -219,10 +220,7 @@ struct BoxRequest {
 };
 
 struct BoxResponse {
-  struct Row {
-    uint64_t id = 0;
-    geometry::GridPoint point;
-  };
+  using Row = index::Row;
   std::vector<Row> rows;
 
   Frame ToFrame(uint32_t request_id) const;

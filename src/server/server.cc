@@ -369,7 +369,7 @@ Frame Server::ExecuteQuery(Conn* conn, const Frame& frame) {
         return error(Status::kBadPayload, "bad RANGE box");
       }
       RangeResponse resp;
-      resp.ids = engine_->RangeSearch(req.box, nullptr, search);
+      resp.ids = engine_->CreateView().RangeSearch(req.box, nullptr, search);
       session->stats().rows += resp.ids.size();
       return resp.ToFrame(frame.request_id);
     }
@@ -381,9 +381,8 @@ Frame Server::ExecuteQuery(Conn* conn, const Frame& frame) {
         return error(Status::kBadPayload, "bad BOX box");
       }
       BoxResponse resp;
-      for (auto& row : engine_->RangeSearchRows(req.box)) {
-        resp.rows.push_back({row.id, row.point});
-      }
+      resp.rows =
+          engine_->CreateView().RangeSearchRows(req.box, nullptr, search);
       session->stats().rows += resp.rows.size();
       return resp.ToFrame(frame.request_id);
     }
@@ -395,7 +394,7 @@ Frame Server::ExecuteQuery(Conn* conn, const Frame& frame) {
         return error(Status::kBadPayload, "bad COUNT box");
       }
       CountResponse resp;
-      resp.count = engine_->CountBox(req.box, nullptr, search);
+      resp.count = engine_->CreateView().CountBox(req.box, nullptr, search);
       session->stats().rows += 1;
       return resp.ToFrame(frame.request_id);
     }
@@ -407,7 +406,7 @@ Frame Server::ExecuteQuery(Conn* conn, const Frame& frame) {
         return error(Status::kBadPayload, "bad KNN request");
       }
       KnnResponse resp;
-      resp.neighbors = engine_->KNearest(req.center, req.k);
+      resp.neighbors = engine_->CreateView().KNearest(req.center, req.k);
       session->stats().rows += resp.neighbors.size();
       return resp.ToFrame(frame.request_id);
     }

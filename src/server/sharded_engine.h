@@ -43,11 +43,10 @@
 /// shards and commit per-shard batches in parallel; within a shard,
 /// concurrent batches serialize on the shard's apply lock but share fsyncs
 /// through the WAL's group commit. Queries never block writers and never
-/// see a half-applied batch: each query pins a per-shard *snapshot* — the
-/// shard's newest published (durable) epoch — and runs against that frozen
-/// view (see DurableIndex::CreateSnapshot). A View makes the pinned state
-/// explicit when a caller wants several queries against one consistent
-/// per-shard state.
+/// see a half-applied batch: every read goes through a View, which pins a
+/// per-shard *snapshot* — the shard's newest published (durable) epoch —
+/// and runs against that frozen state (see DurableIndex::CreateSnapshot).
+/// Several queries on one View see one consistent per-shard state.
 ///
 /// A batch is atomic within each shard (the DurableIndex guarantee);
 /// cross-shard atomicity is not promised — a kill between shard commits
@@ -72,10 +71,7 @@ struct ShardedEngineOptions {
 class ShardedEngine {
  public:
   /// (id, point) rows of a box, in the same order as RangeSearch.
-  struct Row {
-    uint64_t id = 0;
-    geometry::GridPoint point;
-  };
+  using Row = index::Row;
 
   /// A pinned per-shard read state: shard i's queries run against shard
   /// i's newest published epoch as of CreateView(). Holding a View keeps
@@ -94,16 +90,27 @@ class ShardedEngine {
     /// Total points across the pinned shard states.
     uint64_t size() const;
 
-    /// The scatter-gather queries, frozen at the pinned epochs. Same
-    /// contracts as the engine-level methods.
+    /// Scatter-gather range query, frozen at the pinned epochs: identical,
+    /// element for element, to the same query on a single engine holding
+    /// all the points. Only shards whose z interval meets the box's z
+    /// range participate; their answers concatenate in shard order.
     std::vector<uint64_t> RangeSearch(
         const geometry::GridBox& box, index::QueryStats* stats = nullptr,
         const index::SearchOptions& options = {}) const;
-    std::vector<Row> RangeSearchRows(const geometry::GridBox& box,
-                                     index::QueryStats* stats = nullptr) const;
+
+    /// RangeSearch's rows with their points, streamed per shard.
+    std::vector<Row> RangeSearchRows(
+        const geometry::GridBox& box, index::QueryStats* stats = nullptr,
+        const index::SearchOptions& options = {}) const;
+
+    /// Scatter-gather COUNT(*): the sum of per-shard aggregate pushdowns;
+    /// equals RangeSearch(box).size().
     uint64_t CountBox(const geometry::GridBox& box,
                       index::QueryStats* stats = nullptr,
                       const index::SearchOptions& options = {}) const;
+
+    /// Scatter-gather k-NN: every shard answers locally, the gather keeps
+    /// the k best by (distance2, id) — the single-engine tie-break order.
     std::vector<index::Neighbor> KNearest(const geometry::GridPoint& center,
                                           size_t k) const;
 
@@ -133,7 +140,8 @@ class ShardedEngine {
 
   /// Pins every shard's newest published epoch. Thread-safe; cheap when
   /// the shards haven't advanced since the last View (pinned views of an
-  /// unchanged epoch are shared, not rebuilt).
+  /// unchanged epoch are shared, not rebuilt). The View is the one read
+  /// API: every query runs against one.
   View CreateView() const;
 
   /// Routes each op to its point's shard and applies the per-shard batches
@@ -153,29 +161,6 @@ class ShardedEngine {
   /// means a view blocked at the draining shard never holds that shard's
   /// pin, so every pin holder can finish and the drain always completes.
   bool Checkpoint();
-
-  /// Scatter-gather range query: identical, element for element, to the
-  /// same query on a single engine holding all the points. Only shards
-  /// whose z interval meets the box's z range participate. Runs against a
-  /// freshly pinned View — never blocks on, or sees a torn state from,
-  /// concurrent Apply batches.
-  std::vector<uint64_t> RangeSearch(
-      const geometry::GridBox& box, index::QueryStats* stats = nullptr,
-      const index::SearchOptions& options = {}) const;
-
-  std::vector<Row> RangeSearchRows(const geometry::GridBox& box,
-                                   index::QueryStats* stats = nullptr) const;
-
-  /// Scatter-gather COUNT(*): the sum of per-shard aggregate pushdowns;
-  /// equals RangeSearch(box).size().
-  uint64_t CountBox(const geometry::GridBox& box,
-                    index::QueryStats* stats = nullptr,
-                    const index::SearchOptions& options = {}) const;
-
-  /// Scatter-gather k-NN: every shard answers locally, the gather keeps
-  /// the k best by (distance2, id) — the single-engine tie-break order.
-  std::vector<index::Neighbor> KNearest(const geometry::GridPoint& center,
-                                        size_t k) const;
 
   /// Routing + per-shard plan text for a box query (`count` = COUNT plan):
   /// which shards the query scatters to, each shard's z interval, and the

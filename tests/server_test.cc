@@ -112,11 +112,11 @@ TEST_F(ServerTest, EveryQueryTypeMatchesInProcessResults) {
   for (const auto& box : boxes) {
     std::vector<uint64_t> ids;
     ASSERT_TRUE(client.Range(box, &ids));
-    EXPECT_EQ(ids, engine_->RangeSearch(box)) << box.ToString();
+    EXPECT_EQ(ids, engine_->CreateView().RangeSearch(box)) << box.ToString();
 
     std::vector<BoxResponse::Row> rows;
     ASSERT_TRUE(client.Box(box, &rows));
-    const auto expect = engine_->RangeSearchRows(box);
+    const auto expect = engine_->CreateView().RangeSearchRows(box);
     ASSERT_EQ(rows.size(), expect.size());
     for (size_t i = 0; i < rows.size(); ++i) {
       EXPECT_EQ(rows[i].id, expect[i].id);
@@ -125,7 +125,7 @@ TEST_F(ServerTest, EveryQueryTypeMatchesInProcessResults) {
 
     uint64_t count = 0;
     ASSERT_TRUE(client.Count(box, &count));
-    EXPECT_EQ(count, engine_->CountBox(box)) << box.ToString();
+    EXPECT_EQ(count, engine_->CreateView().CountBox(box)) << box.ToString();
 
     std::string explain;
     ASSERT_TRUE(client.Explain(box, false, &explain));
@@ -137,7 +137,7 @@ TEST_F(ServerTest, EveryQueryTypeMatchesInProcessResults) {
   const GridPoint center({128, 128});
   std::vector<index::Neighbor> neighbors;
   ASSERT_TRUE(client.Knn(center, 25, &neighbors));
-  const auto expect_knn = engine_->KNearest(center, 25);
+  const auto expect_knn = engine_->CreateView().KNearest(center, 25);
   ASSERT_EQ(neighbors.size(), expect_knn.size());
   for (size_t i = 0; i < neighbors.size(); ++i) {
     EXPECT_EQ(neighbors[i].id, expect_knn[i].id);
@@ -160,7 +160,7 @@ TEST_F(ServerTest, PipelinedRequestsAnswerInOrder) {
   for (int i = 0; i < kWindow; ++i) {
     const auto lo = static_cast<uint32_t>(i * 3);
     const GridBox box = GridBox::Make2D(lo, lo + 50, 10, 240);
-    expected.push_back(engine_->CountBox(box));
+    expected.push_back(engine_->CreateView().CountBox(box));
     CountRequest req;
     req.box = box;
     ASSERT_TRUE(client.Send(req.ToFrame(static_cast<uint32_t>(1000 + i))));

@@ -156,7 +156,7 @@ TEST_F(SessionProtocolTest, HelloQueriesGoodbye) {
   const auto box = GridBox::Make2D(10, 200, 10, 200);
   std::vector<uint64_t> ids;
   ASSERT_TRUE(client.Range(box, &ids));
-  EXPECT_EQ(ids, engine_->RangeSearch(box));
+  EXPECT_EQ(ids, engine_->CreateView().RangeSearch(box));
 
   uint64_t count = 0;
   ASSERT_TRUE(client.Count(box, &count));
@@ -240,10 +240,10 @@ TEST_F(SessionProtocolTest, SessionDepthCapAppliesToQueries) {
   const auto box = GridBox::Make2D(30, 220, 10, 190);
   std::vector<uint64_t> ids;
   ASSERT_TRUE(capped.Range(box, &ids));
-  EXPECT_EQ(ids, engine_->RangeSearch(box));
+  EXPECT_EQ(ids, engine_->CreateView().RangeSearch(box));
   uint64_t count = 0;
   ASSERT_TRUE(capped.Count(box, &count));
-  EXPECT_EQ(count, engine_->CountBox(box));
+  EXPECT_EQ(count, engine_->CreateView().CountBox(box));
 }
 
 TEST_F(SessionProtocolTest, ConnectionsBeyondMaxAreRefusedBusy) {

@@ -84,11 +84,13 @@ std::vector<index::PointRecord> Points(Distribution d, size_t count,
 void ExpectIdentical(const ShardedEngine& sharded, const ShardedEngine& single,
                      const GridBox& box) {
   // RANGE: same ids in the same (z) order.
-  EXPECT_EQ(sharded.RangeSearch(box), single.RangeSearch(box)) << box.ToString();
+  EXPECT_EQ(sharded.CreateView().RangeSearch(box),
+            single.CreateView().RangeSearch(box))
+      << box.ToString();
 
   // BOX rows: same (id, point) pairs in the same order.
-  const auto sharded_rows = sharded.RangeSearchRows(box);
-  const auto single_rows = single.RangeSearchRows(box);
+  const auto sharded_rows = sharded.CreateView().RangeSearchRows(box);
+  const auto single_rows = single.CreateView().RangeSearchRows(box);
   ASSERT_EQ(sharded_rows.size(), single_rows.size()) << box.ToString();
   for (size_t i = 0; i < sharded_rows.size(); ++i) {
     EXPECT_EQ(sharded_rows[i].id, single_rows[i].id);
@@ -96,13 +98,15 @@ void ExpectIdentical(const ShardedEngine& sharded, const ShardedEngine& single,
   }
 
   // COUNT: aggregate pushdown sums to the same total.
-  EXPECT_EQ(sharded.CountBox(box), single.CountBox(box)) << box.ToString();
+  EXPECT_EQ(sharded.CreateView().CountBox(box),
+            single.CreateView().CountBox(box))
+      << box.ToString();
 
   // Depth-capped search (the session override path) stays exact too.
   index::SearchOptions capped;
   capped.max_element_depth = 8;
-  EXPECT_EQ(sharded.RangeSearch(box, nullptr, capped),
-            single.RangeSearch(box, nullptr, capped))
+  EXPECT_EQ(sharded.CreateView().RangeSearch(box, nullptr, capped),
+            single.CreateView().RangeSearch(box, nullptr, capped))
       << box.ToString() << " depth-capped";
 }
 
@@ -151,8 +155,8 @@ TEST_P(ShardedEngineIdentityTest, MatchesSingleShardBitwise) {
   for (int i = 0; i < 10; ++i) {
     const GridPoint center({static_cast<uint32_t>(rng.NextBelow(256)),
                             static_cast<uint32_t>(rng.NextBelow(256))});
-    const auto a = sharded.KNearest(center, 10);
-    const auto b = single.KNearest(center, 10);
+    const auto a = sharded.CreateView().KNearest(center, 10);
+    const auto b = single.CreateView().KNearest(center, 10);
     ASSERT_EQ(a.size(), b.size());
     for (size_t j = 0; j < a.size(); ++j) {
       EXPECT_EQ(a[j].id, b[j].id);
@@ -177,6 +181,45 @@ INSTANTIATE_TEST_SUITE_P(Workloads, ShardedEngineIdentityTest,
                          [](const auto& info) {
                            return workload::DistributionName(info.param);
                          });
+
+TEST(ShardedEngineTest, BoxRowsHonorTheDepthCap) {
+  // BOX, RANGE and COUNT run the one skip merge under the same options: a
+  // depth-capped BOX returns RANGE's ids with RANGE's QueryStats, and
+  // COUNT does RANGE's element and page work.
+  testutil::TempFile tmp("sharded_box_cap");
+  ShardFiles files(tmp.path(), 4);
+  util::ThreadPool pool(3);
+  ShardedEngineOptions options;
+  options.shards = 4;
+  options.truncate = true;
+  ShardedEngine engine(kGrid, files.prefix(), options, &pool);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(engine.Apply(InsertOps(Points(Distribution::kUniform, 3000, 5))));
+
+  Rng rng(11);
+  const ShardedEngine::View view = engine.CreateView();
+  for (const int depth : {0, 4, 8}) {
+    index::SearchOptions capped;
+    capped.max_element_depth = depth;
+    for (const auto& box :
+         workload::MakeQueryBoxes2D(kGrid, 0.02, 2.0, 8, rng)) {
+      index::QueryStats range_stats, row_stats, count_stats;
+      const auto ids = view.RangeSearch(box, &range_stats, capped);
+      const auto rows = view.RangeSearchRows(box, &row_stats, capped);
+      std::vector<uint64_t> row_ids;
+      for (const auto& row : rows) {
+        EXPECT_TRUE(box.ContainsPoint(row.point)) << box.ToString();
+        row_ids.push_back(row.id);
+      }
+      EXPECT_EQ(row_ids, ids) << box.ToString() << " depth=" << depth;
+      EXPECT_EQ(row_stats, range_stats) << box.ToString() << " depth=" << depth;
+      EXPECT_EQ(view.CountBox(box, &count_stats, capped), ids.size());
+      EXPECT_EQ(count_stats.leaf_pages, range_stats.leaf_pages);
+      EXPECT_EQ(count_stats.elements_generated,
+                range_stats.elements_generated);
+    }
+  }
+}
 
 TEST(ShardedEngineTest, RoutingPartitionsTheZSpace) {
   testutil::TempFile tmp("sharded_routing");
@@ -332,7 +375,7 @@ TEST(ShardedEngineTest, KillAndRecoverOneShardKeepsIdentity) {
 
   // Scatter-gather over the recovered engine is still bitwise identical to
   // a single engine loaded with exactly the surviving records.
-  const auto survivors = engine.RangeSearchRows(everything);
+  const auto survivors = engine.CreateView().RangeSearchRows(everything);
   std::vector<DurableIndex::Op> rebuild;
   rebuild.reserve(survivors.size());
   for (const auto& row : survivors) {
@@ -371,12 +414,13 @@ TEST(ShardedEngineTest, ReopenAfterCheckpointPreservesContents) {
     ASSERT_TRUE(engine.ok());
     ASSERT_TRUE(engine.Apply(InsertOps(points)));
     ASSERT_TRUE(engine.Checkpoint());
-    before = engine.RangeSearch(GridBox::Make2D(0, 255, 0, 255));
+    before = engine.CreateView().RangeSearch(GridBox::Make2D(0, 255, 0, 255));
   }
   options.truncate = false;
   ShardedEngine engine(kGrid, files.prefix(), options, &pool);
   ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(engine.RangeSearch(GridBox::Make2D(0, 255, 0, 255)), before);
+  EXPECT_EQ(engine.CreateView().RangeSearch(GridBox::Make2D(0, 255, 0, 255)),
+            before);
   EXPECT_EQ(engine.size(), points.size());
 }
 
@@ -452,7 +496,7 @@ TEST(ShardedEngineTest, CheckpointsOverlapQueriesAndWritesWithoutDeadlock) {
   writer.join();
   for (auto& t : readers) t.join();
 
-  EXPECT_EQ(engine.CountBox(everything),
+  EXPECT_EQ(engine.CreateView().CountBox(everything),
             points.size() + writer_batches.load() * kBatch);
 }
 
