@@ -1,13 +1,11 @@
-// Leaf-level raw-speed pass: compressed (v2) leaves, the SIMD in-page
-// filter, and aggregate pushdown, measured against the fixed-width v1
-// baseline.
+// Leaf-level raw-speed pass: the SIMD in-page filter and the header-count
+// aggregate pushdown over the fixed-width leaf pages.
 //
-// For each Section 5.3 distribution (U/C/D) the bench builds the same
-// point set into a v1 tree and a compressed v2 tree, then reports
-//   - keys per leaf page before/after (the compression win),
-//   - leaf page accesses over a Section 5.3 range-query batch,
-//   - result identity: v2 serial and v2 parallel versus v1 serial,
-//   - COUNT(*) pushdown versus materializing the same boxes.
+// For each Section 5.3 distribution (U/C/D) the bench builds the point set
+// and runs a Section 5.3 range-query batch as COUNT(*), reporting the leaf
+// pages it touched, the contained elements counted from leaf headers, and
+// the rows it materialized (zero at full decomposition depth). Each count
+// must equal the size of the same box's RangeSearch, or the bench exits 1.
 // A separate kernel section times the in-page interval filter
 // (UpperBoundZ) with AVX2 dispatch against its forced-scalar fallback in
 // ns per row. Numbers land in BENCH_leaf.json (section "leaf") and gate
@@ -22,15 +20,12 @@
 #include <string>
 #include <vector>
 
-#include "btree/btree.h"
-#include "btree/leaf_codec.h"
 #include "btree/simd_filter.h"
 #include "index/zkd_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
 #include "util/bench_json.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "workload/datagen.h"
 #include "workload/querygen.h"
 
@@ -46,15 +41,9 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 
 struct DatasetResult {
   std::string name;
-  double v1_keys_per_page = 0.0;
-  double v2_keys_per_page = 0.0;
-  double gain = 0.0;
-  uint64_t v1_leaf_pages = 0;
-  uint64_t v2_leaf_pages = 0;
   uint64_t count_leaf_pages = 0;
   uint64_t contained_elements = 0;
   uint64_t materialized_rows = 0;
-  bool identical = false;
 };
 
 }  // namespace
@@ -82,60 +71,35 @@ int main(int argc, char** argv) {
     data.seed = 600;
     const auto points = GeneratePoints(grid, data);
 
-    storage::MemPager v1_pager;
-    storage::BufferPool v1_pool(&v1_pager, 4096);
-    const auto v1 = index::ZkdIndex::Build(grid, &v1_pool, points);
-
-    storage::MemPager v2_pager;
-    storage::BufferPool v2_pool(&v2_pager, 4096);
-    const auto v2 = index::ZkdIndex::Build(grid, &v2_pool, points,
-                                           btree::BTreeConfig::Compressed());
+    storage::MemPager pager;
+    storage::BufferPool pool(&pager, 4096);
+    const auto index = index::ZkdIndex::Build(grid, &pool, points);
 
     DatasetResult r;
     r.name = workload::DistributionName(dist);
-    r.v1_keys_per_page = static_cast<double>(v1.size()) /
-                         static_cast<double>(v1.LeafPartitions().size());
-    r.v2_keys_per_page = static_cast<double>(v2.size()) /
-                         static_cast<double>(v2.LeafPartitions().size());
-    r.gain = r.v2_keys_per_page / r.v1_keys_per_page;
-
-    // Section 5.3 query batch: page accesses and result identity.
-    util::ThreadPool tp(3);
-    r.identical = true;
     for (const auto& box : boxes) {
-      index::QueryStats v1_stats;
-      index::QueryStats v2_stats;
-      const auto expected = v1.RangeSearch(box, &v1_stats);
-      const auto got = v2.RangeSearch(box, &v2_stats);
-      const auto parallel = v2.ParallelRangeSearch(box, tp);
-      r.v1_leaf_pages += v1_stats.leaf_pages;
-      r.v2_leaf_pages += v2_stats.leaf_pages;
-      if (got != expected || parallel != expected) r.identical = false;
-
-      // Aggregate pushdown over the same box: same cardinality, no
-      // materialized rows at full decomposition depth.
+      // Aggregate pushdown: the RANGE cardinality, no materialized rows at
+      // full decomposition depth.
       index::QueryStats count_stats;
-      const uint64_t count = v2.CountBox(box, &count_stats);
-      if (count != expected.size()) r.identical = false;
+      const uint64_t count = index.CountBox(box, &count_stats);
+      if (count != index.RangeSearch(box).size()) {
+        std::printf("dataset %s: COUNT differs from RANGE\n", r.name.c_str());
+        return 1;
+      }
       r.count_leaf_pages += count_stats.leaf_pages;
       r.contained_elements += count_stats.contained_elements;
       r.materialized_rows += count_stats.materialized_rows;
     }
 
-    std::printf("dataset %-2s keys/page %6.1f -> %6.1f (%.2fx)  "
-                "leaf pages %6llu -> %6llu  count pages %6llu  %s\n",
-                r.name.c_str(), r.v1_keys_per_page, r.v2_keys_per_page, r.gain,
-                static_cast<unsigned long long>(r.v1_leaf_pages),
-                static_cast<unsigned long long>(r.v2_leaf_pages),
-                static_cast<unsigned long long>(r.count_leaf_pages),
-                r.identical ? "results identical" : "RESULT MISMATCH");
-    std::printf("           count pushdown: %llu contained elements, "
+    std::printf("dataset %-2s count pages %6llu  %llu contained elements, "
                 "%llu materialized rows\n",
+                r.name.c_str(),
+                static_cast<unsigned long long>(r.count_leaf_pages),
                 static_cast<unsigned long long>(r.contained_elements),
                 static_cast<unsigned long long>(r.materialized_rows));
-    if (!r.identical) return 1;
     datasets.push_back(r);
   }
+  std::printf("\n");
 
   // In-page filter kernel: first-past-the-bound over sorted z values, the
   // operation the skip merge runs once per reported run. ns/row over a
@@ -178,21 +142,12 @@ int main(int argc, char** argv) {
   for (const auto& r : datasets) {
     if (datasets_json.size() > 1) datasets_json += ",";
     datasets_json += "{\"name\":\"" + r.name + "\"" +
-                     ",\"v1_keys_per_page\":" +
-                     std::to_string(r.v1_keys_per_page) +
-                     ",\"v2_keys_per_page\":" +
-                     std::to_string(r.v2_keys_per_page) +
-                     ",\"keys_per_page_gain\":" + std::to_string(r.gain) +
-                     ",\"v1_leaf_pages\":" + std::to_string(r.v1_leaf_pages) +
-                     ",\"v2_leaf_pages\":" + std::to_string(r.v2_leaf_pages) +
                      ",\"count_leaf_pages\":" +
                      std::to_string(r.count_leaf_pages) +
                      ",\"contained_elements\":" +
                      std::to_string(r.contained_elements) +
                      ",\"materialized_rows\":" +
-                     std::to_string(r.materialized_rows) +
-                     ",\"identical\":" + (r.identical ? "true" : "false") +
-                     "}";
+                     std::to_string(r.materialized_rows) + "}";
   }
   datasets_json += "]";
 
@@ -208,10 +163,9 @@ int main(int argc, char** argv) {
     std::printf("wrote BENCH_leaf.json (section \"leaf\")\n");
   }
 
-  std::printf("\nCompressed leaves share one z prefix per page and store\n"
-              "varint suffixes, so several times more keys ride on each page\n"
-              "access; the merge then tests decoded runs against the query\n"
-              "interval 4 wide with AVX2, and COUNT(*) sums run lengths and\n"
-              "page headers without materializing rows at all.\n");
+  std::printf("\nThe merge tests each leaf's cached z array against the\n"
+              "query interval 4 wide with AVX2, and COUNT(*) takes leaves\n"
+              "inside the interval from their header count without\n"
+              "materializing rows at all.\n");
   return 0;
 }

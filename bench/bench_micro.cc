@@ -185,7 +185,7 @@ BENCHMARK(BM_BTreeSeek);
 void BM_LeafViewGetSet(benchmark::State& state) {
   // The fixed-width entry accessors — one memcpy each way after the
   // switch from field-at-a-time reads; the scan and split paths hit
-  // these for every v1 entry they touch.
+  // these for every leaf entry they touch.
   storage::Page page;
   btree::LeafView leaf(&page);
   leaf.Init();
@@ -205,35 +205,6 @@ void BM_LeafViewGetSet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LeafViewGetSet);
-
-void BM_V2EncodeDecode(benchmark::State& state) {
-  // Codec round trip for a near-full compressed leaf; the per-entry cost
-  // bounds what v2 mutation (decode -> edit -> re-encode) pays over v1's
-  // in-place memmove.
-  util::Rng rng(7);
-  std::vector<btree::LeafEntry> entries;
-  uint64_t z = rng.NextBelow(1 << 20);
-  for (int i = 0; i < 500; ++i) {
-    z += 1 + rng.NextBelow(64);
-    entries.push_back({btree::ZKey::FromZValue(
-                           zorder::ZValue::FromInteger(z, 32)),
-                       rng.Next()});
-    if (!btree::V2Admits(entries)) {
-      entries.pop_back();
-      break;
-    }
-  }
-  storage::Page page;
-  std::vector<btree::LeafEntry> decoded;
-  for (auto _ : state) {
-    btree::V2Encode(&page, entries, storage::kInvalidPageId);
-    btree::V2Decode(page, &decoded);
-    benchmark::DoNotOptimize(decoded.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(entries.size()));
-}
-BENCHMARK(BM_V2EncodeDecode);
 
 void BM_SpatialJoinMerge(benchmark::State& state) {
   // The stack merge over two decomposed objects (element sequences of a

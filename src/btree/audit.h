@@ -23,13 +23,6 @@ void AuditLeafPage(const LeafView& leaf, int min_count, int max_count);
 void AuditInternalPage(const InternalView& node, int min_count,
                        int max_count);
 
-/// Compressed-leaf (v2) audit: kind tag, count within [min_count,
-/// max_count], every decoded key extends the stored shared prefix, keys
-/// in z order, decoded count == header count (V2Decode itself verifies
-/// the used-bytes accounting), and the header's last key equal to the
-/// last decoded key.
-void AuditLeafV2Page(const storage::Page& page, int min_count, int max_count);
-
 }  // namespace probe::btree
 
 #endif  // PROBE_BTREE_AUDIT_H_

@@ -19,12 +19,8 @@ uint8_t KindOf(const storage::Page& page) {
   return page.Read<uint8_t>(kKindOffset);
 }
 
-/// Decodes every entry of either leaf layout into `out`.
-void DecodeLeafAny(storage::Page& page, std::vector<LeafEntry>* out) {
-  if (KindOf(page) == kLeafV2Kind) {
-    V2Decode(page, out);
-    return;
-  }
+/// Copies every entry of a leaf page into `out`.
+void ReadLeaf(storage::Page& page, std::vector<LeafEntry>* out) {
   LeafView leaf(&page);
   const int n = leaf.count();
   out->clear();
@@ -32,65 +28,16 @@ void DecodeLeafAny(storage::Page& page, std::vector<LeafEntry>* out) {
   for (int i = 0; i < n; ++i) out->push_back(leaf.Get(i));
 }
 
-/// Picks a split index in [1, n-1] whose halves both satisfy the v2
-/// worst-case byte budget, preferring a distinct-key boundary nearest
-/// `preferred` (so prefix separators stay strict where possible) and
-/// falling back to any feasible index. Returns -1 when no split fits —
-/// possible only for rebalancing unions of two near-worst-full pages,
-/// never for an overflowing single page (the half left of the largest
-/// feasible left edge leaves at most one entry's worth on the right).
-int PickV2Split(const std::vector<LeafEntry>& entries, int preferred,
-                int max_count) {
-  const int n = static_cast<int>(entries.size());
-  std::vector<size_t> worst(static_cast<size_t>(n) + 1, 0);
-  for (int i = 0; i < n; ++i) {
-    worst[i + 1] = worst[i] + V2EntryWorstSize(entries[i]);
-  }
-  auto fits_at = [&](int j) {
-    return j >= 1 && j <= n - 1 && j <= max_count && n - j <= max_count &&
-           kV2EntriesOffset + worst[j] <= storage::Page::kSize &&
-           kV2EntriesOffset + (worst[n] - worst[j]) <= storage::Page::kSize;
-  };
-  auto distinct_at = [&](int j) {
-    return j >= 1 && j <= n - 1 && entries[j - 1].key < entries[j].key;
-  };
-  if (distinct_at(preferred) && fits_at(preferred)) return preferred;
-  for (int delta = 1; delta < n; ++delta) {
-    if (distinct_at(preferred - delta) && fits_at(preferred - delta)) {
-      return preferred - delta;
-    }
-    if (distinct_at(preferred + delta) && fits_at(preferred + delta)) {
-      return preferred + delta;
-    }
-  }
-  // All-duplicate page (or no distinct boundary fits): take any split
-  // within budget.
-  if (fits_at(preferred)) return preferred;
-  for (int delta = 1; delta < n; ++delta) {
-    if (fits_at(preferred - delta)) return preferred - delta;
-    if (fits_at(preferred + delta)) return preferred + delta;
-  }
-  return -1;
-}
-
 }  // namespace
 
 BTree::BTree(storage::BufferPool* pool, const BTreeConfig& config)
     : pool_(pool), config_(config), height_(1) {
-  const int leaf_max = config_.leaf_format == LeafFormat::kV2
-                           ? kV2MaxEntries - 1
-                           : LeafView::kMaxCapacity - 1;
-  (void)leaf_max;
-  assert(config_.leaf_capacity >= 2 && config_.leaf_capacity <= leaf_max);
+  assert(config_.leaf_capacity >= 2 &&
+         config_.leaf_capacity <= LeafView::kMaxCapacity - 1);
   assert(config_.internal_capacity >= 2 &&
          config_.internal_capacity <= InternalView::kMaxCapacity - 1);
   PageRef ref = pool_->New(&root_);
-  if (config_.leaf_format == LeafFormat::kV2) {
-    V2Encode(&ref.page(), {}, storage::kInvalidPageId);
-  } else {
-    LeafView leaf(&ref.page());
-    leaf.Init();
-  }
+  LeafView(&ref.page()).Init();
   ref.MarkDirty();
 }
 
@@ -114,12 +61,7 @@ void BTree::InsertRec(PageId page_id, const ZKey& key, uint64_t payload,
                       SplitResult* result) {
   result->split = false;
   PageRef ref = pool_->Fetch(page_id);
-  const uint8_t kind = KindOf(ref.page());
-  if (kind == kLeafV2Kind) {
-    InsertLeafV2(ref, key, payload, result);
-    return;
-  }
-  if (kind == kLeafKind) {
+  if (KindOf(ref.page()) == kLeafKind) {
     LeafView leaf(&ref.page());
     // Lower bound by key, then order duplicates by payload so the layout
     // is independent of insertion order.
@@ -130,8 +72,8 @@ void BTree::InsertRec(PageId page_id, const ZKey& key, uint64_t payload,
     }
     leaf.InsertAt(idx, LeafEntry{key, payload});
     ref.MarkDirty();
-    if (leaf.count() <= V1LeafCap()) {
-      PROBE_AUDIT(AuditLeafPage(leaf, 1, V1LeafCap()));
+    if (leaf.count() <= config_.leaf_capacity) {
+      PROBE_AUDIT(AuditLeafPage(leaf, 1, config_.leaf_capacity));
       return;
     }
 
@@ -171,8 +113,8 @@ void BTree::InsertRec(PageId page_id, const ZKey& key, uint64_t payload,
         PrefixSeparator(leaf.Get(split - 1).key, right.Get(0).key);
     result->new_page = right_id;
     // Both halves of a split must hold sorted keys and at least one entry.
-    PROBE_AUDIT(AuditLeafPage(leaf, 1, V1LeafCap()));
-    PROBE_AUDIT(AuditLeafPage(right, 1, V1LeafCap()));
+    PROBE_AUDIT(AuditLeafPage(leaf, 1, config_.leaf_capacity));
+    PROBE_AUDIT(AuditLeafPage(right, 1, config_.leaf_capacity));
     return;
   }
 
@@ -208,46 +150,6 @@ void BTree::InsertRec(PageId page_id, const ZKey& key, uint64_t payload,
   PROBE_AUDIT(AuditInternalPage(right, 1, config_.internal_capacity));
 }
 
-void BTree::InsertLeafV2(PageRef& ref, const ZKey& key, uint64_t payload,
-                         SplitResult* result) {
-  // v2 pages mutate by decode -> edit -> re-encode; admission is the
-  // worst-case byte budget plus the configured count cap.
-  std::vector<LeafEntry> entries;
-  V2Decode(ref.page(), &entries);
-  auto it = std::lower_bound(
-      entries.begin(), entries.end(), key,
-      [](const LeafEntry& e, const ZKey& k) { return e.key < k; });
-  // Order duplicates by payload so the layout is insertion-independent.
-  while (it != entries.end() && it->key == key && it->payload < payload) ++it;
-  entries.insert(it, LeafEntry{key, payload});
-  const PageId next = ref.page().Read<PageId>(kNextLeafOffset);
-
-  const int cap = V2LeafCap();
-  if (static_cast<int>(entries.size()) <= cap && V2Admits(entries)) {
-    V2Encode(&ref.page(), entries, next);
-    ref.MarkDirty();
-    PROBE_AUDIT(AuditLeafV2Page(ref.page(), 1, cap));
-    return;
-  }
-
-  const int n = static_cast<int>(entries.size());
-  const int split = PickV2Split(entries, n / 2, cap);
-  PROBE_ASSERT_MSG(split > 0, "v2 leaf split infeasible");
-  PageId right_id;
-  PageRef right_ref = pool_->New(&right_id);
-  const std::span<const LeafEntry> all(entries);
-  V2Encode(&right_ref.page(), all.subspan(static_cast<size_t>(split)), next);
-  V2Encode(&ref.page(), all.first(static_cast<size_t>(split)), right_id);
-  ref.MarkDirty();
-  right_ref.MarkDirty();
-  result->split = true;
-  result->separator =
-      PrefixSeparator(entries[split - 1].key, entries[split].key);
-  result->new_page = right_id;
-  PROBE_AUDIT(AuditLeafV2Page(ref.page(), 1, cap));
-  PROBE_AUDIT(AuditLeafV2Page(right_ref.page(), 1, cap));
-}
-
 bool BTree::Delete(const ZKey& key, uint64_t payload) {
   bool underflow = false;
   if (!DeleteRec(root_, key, payload, &underflow)) return false;
@@ -255,7 +157,7 @@ bool BTree::Delete(const ZKey& key, uint64_t payload) {
   // Shrink the root when an internal root lost its last separator.
   for (;;) {
     PageRef ref = pool_->Fetch(root_);
-    if (IsLeafKind(KindOf(ref.page()))) break;
+    if (KindOf(ref.page()) == kLeafKind) break;
     InternalView node(&ref.page());
     if (node.count() > 0) break;
     const PageId only_child = node.child0();
@@ -270,29 +172,7 @@ bool BTree::DeleteRec(PageId page_id, const ZKey& key, uint64_t payload,
                       bool* underflow) {
   *underflow = false;
   PageRef ref = pool_->Fetch(page_id);
-  const uint8_t kind = KindOf(ref.page());
-  if (kind == kLeafV2Kind) {
-    std::vector<LeafEntry> entries;
-    V2Decode(ref.page(), &entries);
-    auto it = std::lower_bound(
-        entries.begin(), entries.end(), key,
-        [](const LeafEntry& e, const ZKey& k) { return e.key < k; });
-    for (; it != entries.end() && it->key == key; ++it) {
-      if (it->payload == payload) {
-        const PageId next = ref.page().Read<PageId>(kNextLeafOffset);
-        entries.erase(it);
-        const size_t used = V2Encode(&ref.page(), entries, next);
-        ref.MarkDirty();
-        // v2 occupancy is byte-driven, so underflow is too: rebalance
-        // when the page falls under a quarter of its byte budget.
-        *underflow = page_id != root_ && used < storage::Page::kSize / 4;
-        PROBE_AUDIT(AuditLeafV2Page(ref.page(), 0, V2LeafCap()));
-        return true;
-      }
-    }
-    return false;
-  }
-  if (kind == kLeafKind) {
+  if (KindOf(ref.page()) == kLeafKind) {
     LeafView leaf(&ref.page());
     for (int i = leaf.LowerBound(key);
          i < leaf.count() && leaf.Get(i).key == key; ++i) {
@@ -302,7 +182,7 @@ bool BTree::DeleteRec(PageId page_id, const ZKey& key, uint64_t payload,
         *underflow = page_id != root_ && leaf.count() < MinLeafCount();
         // Order must survive removal; occupancy is the parent's problem
         // (it rebalances on *underflow).
-        PROBE_AUDIT(AuditLeafPage(leaf, 0, V1LeafCap()));
+        PROBE_AUDIT(AuditLeafPage(leaf, 0, config_.leaf_capacity));
         return true;
       }
     }
@@ -333,24 +213,7 @@ void BTree::FixUnderflow(InternalView& parent, int child_idx) {
   // Prefer borrowing from a sibling; merge when both are at minimum.
   const PageId child_id = parent.ChildAt(child_idx);
   PageRef child_ref = pool_->Fetch(child_id);
-  const bool child_is_leaf = IsLeafKind(KindOf(child_ref.page()));
-
-  // A v2 page anywhere among the rebalancing candidates routes to the
-  // decode/re-encode path (the in-place moves below assume v1 layout).
-  if (child_is_leaf) {
-    bool any_v2 = KindOf(child_ref.page()) == kLeafV2Kind;
-    for (int dir = -1; dir <= 1 && !any_v2; dir += 2) {
-      const int sib_idx = child_idx + dir;
-      if (sib_idx < 0 || sib_idx > parent.count()) continue;
-      PageRef sib_ref = pool_->Fetch(parent.ChildAt(sib_idx));
-      any_v2 = KindOf(sib_ref.page()) == kLeafV2Kind;
-    }
-    if (any_v2) {
-      child_ref.Release();
-      FixLeafUnderflowV2(parent, child_idx);
-      return;
-    }
-  }
+  const bool child_is_leaf = KindOf(child_ref.page()) == kLeafKind;
 
   auto leaf_count = [&](PageRef& r) { return LeafView(&r.page()).count(); };
   auto internal_count = [&](PageRef& r) {
@@ -444,48 +307,6 @@ void BTree::FixUnderflow(InternalView& parent, int child_idx) {
   // list, so it is simply abandoned.
 }
 
-void BTree::FixLeafUnderflowV2(InternalView& parent, int child_idx) {
-  // Merge-or-redistribute with the left neighbor when one exists, else
-  // the right; redistribution generalizes v1's one-entry borrow. The
-  // merged result is re-encoded as v2 (readers dispatch per page, so a
-  // v1 partner flipping to v2 is fine).
-  const int left_idx = child_idx > 0 ? child_idx - 1 : child_idx;
-  const int right_idx = left_idx + 1;
-  assert(right_idx <= parent.count());
-  PageRef left_ref = pool_->Fetch(parent.ChildAt(left_idx));
-  PageRef right_ref = pool_->Fetch(parent.ChildAt(right_idx));
-  std::vector<LeafEntry> combined;
-  std::vector<LeafEntry> right_entries;
-  DecodeLeafAny(left_ref.page(), &combined);
-  DecodeLeafAny(right_ref.page(), &right_entries);
-  combined.insert(combined.end(), right_entries.begin(), right_entries.end());
-  const PageId tail = right_ref.page().Read<PageId>(kNextLeafOffset);
-
-  const int cap = V2LeafCap();
-  if (static_cast<int>(combined.size()) <= cap && V2Admits(combined)) {
-    V2Encode(&left_ref.page(), combined, tail);
-    left_ref.MarkDirty();
-    parent.RemovePairAt(left_idx);
-    PROBE_AUDIT(AuditLeafV2Page(left_ref.page(), 1, cap));
-    // The right page is abandoned, as in the v1 merge.
-    return;
-  }
-
-  const int split =
-      PickV2Split(combined, static_cast<int>(combined.size()) / 2, cap);
-  if (split <= 0) return;  // no feasible balance point: tolerate underflow
-  const std::span<const LeafEntry> all(combined);
-  V2Encode(&right_ref.page(), all.subspan(static_cast<size_t>(split)), tail);
-  V2Encode(&left_ref.page(), all.first(static_cast<size_t>(split)),
-           parent.ChildAt(right_idx));
-  left_ref.MarkDirty();
-  right_ref.MarkDirty();
-  parent.SetSeparator(
-      left_idx, PrefixSeparator(combined[split - 1].key, combined[split].key));
-  PROBE_AUDIT(AuditLeafV2Page(left_ref.page(), 1, cap));
-  PROBE_AUDIT(AuditLeafV2Page(right_ref.page(), 1, cap));
-}
-
 BTree::Cursor::Cursor(const BTree* tree) : tree_(tree) {}
 
 bool BTree::Cursor::SeekFirst() {
@@ -495,7 +316,7 @@ bool BTree::Cursor::SeekFirst() {
 bool BTree::Cursor::Seek(const ZKey& key) {
   PageId page_id = tree_->root_;
   PageRef ref = tree_->pool_->Fetch(page_id);
-  while (!IsLeafKind(KindOf(ref.page()))) {
+  while (KindOf(ref.page()) != kLeafKind) {
     ++internal_loads_;
     InternalView node(&ref.page());
     page_id = node.ChildAt(node.DescendLeft(key));
@@ -503,8 +324,8 @@ bool BTree::Cursor::Seek(const ZKey& key) {
   }
   // Re-landing on the leaf the cursor already sits on is not a new page
   // access: the page is resident (the LRU argument of Section 4), so the
-  // paper's "data pages accessed" metric counts it once. The decoded
-  // cache survives for the same reason.
+  // paper's "data pages accessed" metric counts it once. The cached
+  // image survives for the same reason.
   if (!(valid_ && page_id == leaf_page_)) {
     ++leaf_loads_;
     leaf_entries_seen_ +=
@@ -608,16 +429,7 @@ bool BTree::Cursor::AdvanceLeaf() {
 
 void BTree::Cursor::EnsureCache() {
   if (cache_valid_) return;
-  storage::Page& page = leaf_ref_.page();
-  if (KindOf(page) == kLeafV2Kind) {
-    V2Decode(page, &cache_entries_);
-  } else {
-    LeafView leaf(&page);
-    const int n = leaf.count();
-    cache_entries_.clear();
-    cache_entries_.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) cache_entries_.push_back(leaf.Get(i));
-  }
+  ReadLeaf(leaf_ref_.page(), &cache_entries_);
   cache_z_.resize(cache_entries_.size());
   for (size_t i = 0; i < cache_entries_.size(); ++i) {
     cache_z_[i] = cache_entries_[i].key.ToZValue().ToInteger();
@@ -630,11 +442,7 @@ int BTree::Cursor::LeafCountHeader() {
 }
 
 uint64_t BTree::Cursor::LeafLastZ() {
-  storage::Page& page = leaf_ref_.page();
-  if (KindOf(page) == kLeafV2Kind) {
-    return V2LastKey(page).ToZValue().ToInteger();
-  }
-  LeafView leaf(&page);
+  LeafView leaf(&leaf_ref_.page());
   return leaf.Get(leaf.count() - 1).key.ToZValue().ToInteger();
 }
 
@@ -642,29 +450,36 @@ std::vector<BTree::LeafSummary> BTree::LeafSequence() {
   // Descend to the leftmost leaf, then follow the chain.
   PageId page_id = root_;
   PageRef ref = pool_->Fetch(page_id);
-  while (!IsLeafKind(KindOf(ref.page()))) {
+  while (KindOf(ref.page()) != kLeafKind) {
     page_id = InternalView(&ref.page()).child0();
     ref = pool_->Fetch(page_id);
   }
   std::vector<LeafSummary> leaves;
   for (;;) {
-    storage::Page& page = ref.page();
-    const int count = page.Read<uint16_t>(kCountOffset);
+    const LeafView leaf(&ref.page());
     LeafSummary summary;
-    summary.entries = count;
-    if (count > 0) {
-      summary.first_key = KindOf(page) == kLeafV2Kind
-                              ? V2FirstKey(page)
-                              : LeafView(&page).Get(0).key;
-    } else {
-      summary.first_key = ZKey{0, 0};
-    }
+    summary.entries = leaf.count();
+    summary.first_key = leaf.count() > 0 ? leaf.Get(0).key : ZKey{0, 0};
     leaves.push_back(summary);
-    const PageId next = page.Read<PageId>(kNextLeafOffset);
+    const PageId next = leaf.next_leaf();
     if (next == storage::kInvalidPageId) break;
     ref = pool_->Fetch(next);
   }
   return leaves;
+}
+
+bool BTree::LeafKindsValid() {
+  PageRef ref = pool_->Fetch(root_);
+  for (int level = 1; level < height_; ++level) {
+    if (KindOf(ref.page()) != kInternalKind) return false;
+    ref = pool_->Fetch(InternalView(&ref.page()).child0());
+  }
+  for (;;) {
+    if (KindOf(ref.page()) != kLeafKind) return false;
+    const PageId next = LeafView(&ref.page()).next_leaf();
+    if (next == storage::kInvalidPageId) return true;
+    ref = pool_->Fetch(next);
+  }
 }
 
 BTreeShape BTree::ComputeShape() {
@@ -675,7 +490,7 @@ BTreeShape BTree::ComputeShape() {
     std::vector<PageId> next_level;
     for (PageId id : level) {
       PageRef ref = pool_->Fetch(id);
-      if (IsLeafKind(KindOf(ref.page()))) {
+      if (KindOf(ref.page()) == kLeafKind) {
         ++shape.leaf_pages;
         shape.entries += static_cast<uint64_t>(
             ref.page().Read<uint16_t>(kCountOffset));
@@ -723,10 +538,10 @@ bool BTree::CheckInvariants() {
     const Frame frame = stack.back();
     stack.pop_back();
     PageRef ref = pool_->Fetch(frame.id);
-    if (IsLeafKind(KindOf(ref.page()))) {
+    if (KindOf(ref.page()) == kLeafKind) {
       if (frame.depth != height_) return false;
       std::vector<LeafEntry> entries;
-      DecodeLeafAny(ref.page(), &entries);
+      ReadLeaf(ref.page(), &entries);
       // Leaves are normally >= half full, but a split that refuses to
       // divide a run of duplicate keys may move its split point off
       // center, so only emptiness is a hard violation here.
@@ -806,10 +621,7 @@ BTree::BulkBuilder::BulkBuilder(storage::BufferPool* pool,
                               1, config.leaf_capacity)),
       internal_target_(
           std::clamp(static_cast<int>(fill * config.internal_capacity), 1,
-                     config.internal_capacity)),
-      v2_byte_target_(kV2EntriesOffset +
-                      static_cast<size_t>(
-                          fill * (storage::Page::kSize - kV2EntriesOffset))) {
+                     config.internal_capacity)) {
   assert(fill > 0.0 && fill <= 1.0);
   pending_.reserve(leaf_target_);
 }
@@ -820,20 +632,6 @@ void BTree::BulkBuilder::Add(const LeafEntry& entry) {
                    "bulk-load feed out of z order");
   last_key_ = entry.key;
   have_last_key_ = true;
-  if (config_.leaf_format == LeafFormat::kV2) {
-    // v2 leaves close on whichever binds first: the count target or the
-    // fill-scaled worst-case byte budget.
-    const size_t worst = V2EntryWorstSize(entry);
-    if (!pending_.empty() &&
-        (static_cast<int>(pending_.size()) >= leaf_target_ ||
-         pending_worst_bytes_ + worst > v2_byte_target_)) {
-      CloseLeaf();
-    }
-    pending_.push_back(entry);
-    pending_worst_bytes_ += worst;
-    ++total_entries_;
-    return;
-  }
   pending_.push_back(entry);
   ++total_entries_;
   if (static_cast<int>(pending_.size()) == leaf_target_) CloseLeaf();
@@ -843,22 +641,15 @@ void BTree::BulkBuilder::CloseLeaf() {
   if (pending_.empty()) return;
   PageId id;
   PageRef ref = pool_->New(&id);
-  if (config_.leaf_format == LeafFormat::kV2) {
-    V2Encode(&ref.page(), pending_, storage::kInvalidPageId);
-    PROBE_AUDIT(AuditLeafV2Page(ref.page(), 1, config_.leaf_capacity));
-  } else {
-    LeafView(&ref.page()).Init();
-    LeafView leaf(&ref.page());
-    for (size_t i = 0; i < pending_.size(); ++i) {
-      leaf.Set(static_cast<int>(i), pending_[i]);
-    }
-    leaf.set_count(static_cast<int>(pending_.size()));
-    PROBE_AUDIT(AuditLeafPage(leaf, 1, config_.leaf_capacity));
+  LeafView leaf(&ref.page());
+  leaf.Init();
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    leaf.Set(static_cast<int>(i), pending_[i]);
   }
+  leaf.set_count(static_cast<int>(pending_.size()));
+  PROBE_AUDIT(AuditLeafPage(leaf, 1, config_.leaf_capacity));
   ref.MarkDirty();
   if (prev_leaf_ != storage::kInvalidPageId) {
-    // set_next_leaf writes the format-shared header field, so the link
-    // works for either leaf layout.
     PageRef prev_ref = pool_->Fetch(prev_leaf_);
     LeafView(&prev_ref.page()).set_next_leaf(id);
     prev_ref.MarkDirty();
@@ -866,7 +657,6 @@ void BTree::BulkBuilder::CloseLeaf() {
   prev_leaf_ = id;
   leaves_.push_back(NodeInfo{id, pending_.front().key, pending_.back().key});
   pending_.clear();
-  pending_worst_bytes_ = kV2EntriesOffset;
 }
 
 BTree BTree::BulkBuilder::Finish() {

@@ -11,7 +11,7 @@ size_t LeafEntryOffset(int i) {
   return kEntriesOffset + static_cast<size_t>(i) * LeafView::kEntryBytes;
 }
 
-/// The on-page image of one v1 leaf entry. Get/Set move a whole entry
+/// The on-page image of one leaf entry. Get/Set move a whole entry
 /// with a single 17-byte memcpy instead of three field-sized page
 /// accesses — the difference is measurable in the scan loop (bench_micro
 /// BM_LeafViewGet).

@@ -26,19 +26,9 @@
 
 namespace probe::btree {
 
-/// Node kind tags. kLeafV2Kind marks the compressed leaf layout of
-/// leaf_codec.h; its count and next-leaf fields sit at the same offsets
-/// as the v1 leaf, so chain walking and occupancy reads are format-blind.
+/// Node kind tags.
 inline constexpr uint8_t kLeafKind = 0;
 inline constexpr uint8_t kInternalKind = 1;
-inline constexpr uint8_t kLeafV2Kind = 2;
-
-/// True for either leaf layout. Structural code dispatches on the page's
-/// own kind byte, so a tree holding v2 pages stays readable even when
-/// re-attached with a v1-format config.
-inline constexpr bool IsLeafKind(uint8_t kind) {
-  return kind == kLeafKind || kind == kLeafV2Kind;
-}
 
 /// Byte offsets of the common header.
 inline constexpr size_t kKindOffset = 0;

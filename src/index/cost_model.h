@@ -112,10 +112,9 @@ class CostModel {
   size_t leaf_count() const { return first_keys_.size(); }
 
   /// Mean entries per leaf at snapshot time. Leaf density depends on the
-  /// page format — compressed (v2) leaves pack several times more keys per
-  /// page than fixed-width v1 leaves — and the snapshot measures it instead
-  /// of assuming a compile-time capacity, so estimates convert between rows
-  /// and pages correctly for either format (or a mixed tree).
+  /// configured leaf capacity and the bulk-load fill, so the snapshot
+  /// measures it instead of assuming a compile-time capacity, and estimates
+  /// convert between rows and pages correctly for any configuration.
   double avg_leaf_entries() const { return avg_leaf_entries_; }
 
   const zorder::GridSpec& grid() const { return grid_; }

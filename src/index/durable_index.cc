@@ -97,6 +97,10 @@ DurableIndex::DurableIndex(const zorder::GridSpec& grid,
     const auto state =
         btree::BTree::PersistentState::Decode(recovery_.meta.data() + 24);
     index_.emplace(ZkdIndex::Attach(grid_, pool_.get(), state, config_));
+    if (!index_->tree().LeafKindsValid()) {
+      index_.reset();
+      return;  // a page of an unknown layout: refuse rather than misread
+    }
     // Resume the epoch sequence at the recovered commit, which is by
     // construction durable and hence immediately publishable.
     txn_->RestoreEpoch(epoch);

@@ -110,7 +110,8 @@ class DurableIndex {
   ~DurableIndex();
 
   /// False when the files could not be opened, the stored metadata is
-  /// corrupt, or it disagrees with `grid`/config.
+  /// corrupt, it disagrees with `grid`/config, or a page of the stored
+  /// tree's leaf chain has another layout (BTree::LeafKindsValid).
   bool ok() const { return ok_; }
 
   /// What recovery did when this handle opened.

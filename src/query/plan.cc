@@ -433,7 +433,8 @@ class MergeJoinNode final : public MaterializedNode {
   MergeJoinNode(std::unique_ptr<PlanNode> left, std::unique_ptr<PlanNode> right,
                 std::string left_z, std::string right_z,
                 util::ThreadPool* pool, int partitions)
-      : MaterializedNode(Schema::Concat(left->schema(), right->schema())),
+      : MaterializedNode(
+            relational::JoinSchema(left->schema(), right->schema())),
         left_z_(std::move(left_z)),
         right_z_(std::move(right_z)),
         pool_(pool),

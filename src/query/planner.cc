@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "geometry/primitives.h"
+#include "relational/spatial_join.h"
 #include "zorder/shuffle.h"
 
 namespace probe::query {
@@ -335,7 +336,7 @@ PlannedQuery PlanSpatialJoin(const Query& query, const PlannerContext& ctx,
     join_estimate = ctx.cost_model->EstimateJoinPages(
         *ctx.cost_model, *query.r_bound, *query.s_bound);
     if (!join_estimate->overlap) {
-      planned.root = MakeEmptyResult(relational::Schema::Concat(
+      planned.root = MakeEmptyResult(relational::JoinSchema(
           SideSchema(query.r, query.r_z_out), SideSchema(query.s, query.s_z_out)));
       planned.summary = "spatial-join: EmptyResult (disjoint bounds)";
       planned.root = Decorate(std::move(planned.root), query);

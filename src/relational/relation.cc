@@ -23,14 +23,6 @@ bool Schema::NamesUnique() const {
   return true;
 }
 
-Schema Schema::Concat(const Schema& a, const Schema& b) {
-  std::vector<Column> columns;
-  columns.reserve(a.column_count() + b.column_count());
-  for (int i = 0; i < a.column_count(); ++i) columns.push_back(a.column(i));
-  for (int i = 0; i < b.column_count(); ++i) columns.push_back(b.column(i));
-  return Schema(std::move(columns));
-}
-
 void Relation::SortBy(const std::string& column_name) {
   const int col = schema_.IndexOf(column_name);
   assert(col >= 0);

@@ -38,9 +38,6 @@ class Schema {
   /// True iff no two columns share a name.
   bool NamesUnique() const;
 
-  /// Concatenation of two schemas (used by joins).
-  static Schema Concat(const Schema& a, const Schema& b);
-
  private:
   std::vector<Column> columns_;
 };

@@ -194,6 +194,22 @@ std::vector<JoinSlice> CutSlices(const JoinInputs& in, int partitions) {
 
 }  // namespace
 
+Schema JoinSchema(const Schema& r, const Schema& s) {
+  std::vector<Column> columns;
+  columns.reserve(static_cast<size_t>(r.column_count() + s.column_count()));
+  for (int i = 0; i < r.column_count(); ++i) columns.push_back(r.column(i));
+  auto taken = [&columns](const std::string& name) {
+    return std::any_of(columns.begin(), columns.end(),
+                       [&name](const Column& c) { return c.name == name; });
+  };
+  for (int i = 0; i < s.column_count(); ++i) {
+    Column column = s.column(i);
+    while (taken(column.name)) column.name = "s_" + column.name;
+    columns.push_back(std::move(column));
+  }
+  return Schema(std::move(columns));
+}
+
 Relation SpatialJoin(const Relation& r, const std::string& zr_column,
                      const Relation& s, const std::string& zs_column,
                      SpatialJoinStats* stats) {
@@ -203,7 +219,7 @@ Relation SpatialJoin(const Relation& r, const std::string& zr_column,
   assert(r.schema().column(zr).type == ValueType::kZValue);
   assert(s.schema().column(zs).type == ValueType::kZValue);
 
-  const Schema out_schema = Schema::Concat(r.schema(), s.schema());
+  const Schema out_schema = JoinSchema(r.schema(), s.schema());
   assert(out_schema.NamesUnique());
   Relation out(out_schema);
   out.Reserve(std::max(r.size(), s.size()));
@@ -238,7 +254,7 @@ Relation ParallelSpatialJoin(const Relation& r, const std::string& zr_column,
   assert(r.schema().column(zr).type == ValueType::kZValue);
   assert(s.schema().column(zs).type == ValueType::kZValue);
 
-  const Schema out_schema = Schema::Concat(r.schema(), s.schema());
+  const Schema out_schema = JoinSchema(r.schema(), s.schema());
   assert(out_schema.NamesUnique());
   Relation out(out_schema);
   const int out_columns = out_schema.column_count();

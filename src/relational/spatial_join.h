@@ -45,10 +45,15 @@ struct SpatialJoinStats {
   size_t partitions = 1;
 };
 
+/// The output schema of R[zr <> zs]S: r's columns, then s's. An s column
+/// whose name is already taken (two object relations both carry `id`, for
+/// one) is renamed by prefixing "s_" until the name is unused, so every
+/// output column is reachable by name and r's keep theirs.
+Schema JoinSchema(const Schema& r, const Schema& s);
+
 /// Computes R[zr <> zs]S: one output row per pair of input rows whose
 /// elements overlap (i.e. one z value is a prefix of the other). The output
-/// schema is the concatenation of both input schemas, which must not share
-/// column names. Inputs need not be pre-sorted; they are sorted by their z
+/// schema is JoinSchema(r, s). Inputs need not be pre-sorted; they are sorted by their z
 /// columns internally (stably). `stats` may be null.
 Relation SpatialJoin(const Relation& r, const std::string& zr_column,
                      const Relation& s, const std::string& zs_column,

@@ -3,14 +3,15 @@
 /// merge (ZkdIndex::RangeCursor), so every read must give the same answer
 /// and do the same work.
 ///
-/// Seeded random boxes and spatial objects over a 2-d and a 3-d grid, v1
-/// and v2 leaves, depth caps (none, the root, mid-depth), verification
-/// on and off, and 1/2/4/7 partitions. For each query: RangeSearch, a
-/// drained cursor, ParallelRangeSearch and the kPlainMerge reference give
-/// the same ids in the same order, and CountBox gives their number. The
-/// drained cursor (the BOX path) reports exactly RANGE's QueryStats; COUNT
-/// reports RANGE's on every counter the two share except points_scanned.
-/// A golden pins RANGE's summed QueryStats over a fixed query set.
+/// Seeded random boxes and spatial objects over a 2-d and a 3-d grid, the
+/// paper's 20-entry leaves, depth caps (none, the root, mid-depth),
+/// verification on and off, and 1/2/4/7 partitions. For each query:
+/// RangeSearch, a drained cursor, ParallelRangeSearch and the kPlainMerge
+/// reference give the same ids in the same order, and CountBox gives their
+/// number. The drained cursor (the BOX path) reports exactly RANGE's
+/// QueryStats; COUNT reports RANGE's on every counter the two share except
+/// points_scanned. A golden pins RANGE's summed QueryStats over a fixed
+/// query set.
 
 #include <gtest/gtest.h>
 
@@ -40,18 +41,14 @@ using zorder::GridSpec;
 
 class Fixture {
  public:
-  Fixture(const GridSpec& grid, size_t count, uint64_t seed, bool v2)
+  Fixture(const GridSpec& grid, size_t count, uint64_t seed)
       : pool_(&pager_, 64) {
     workload::DataGenConfig data;
     data.count = count;
     data.seed = seed;
     points_ = workload::GeneratePoints(grid, data);
     btree::BTreeConfig config;
-    if (v2) {
-      config = btree::BTreeConfig::Compressed();
-    } else {
-      config.leaf_capacity = 20;
-    }
+    config.leaf_capacity = 20;
     index_ = std::make_unique<ZkdIndex>(
         ZkdIndex::Build(grid, &pool_, points_, config));
   }
@@ -127,48 +124,44 @@ std::vector<SearchOptions> OptionSweep(const GridSpec& grid) {
   return sweep;
 }
 
-std::string Where(const std::string& query, const SearchOptions& options,
-                  bool v2) {
+std::string Where(const std::string& query, const SearchOptions& options) {
   return query + " depth=" + std::to_string(options.max_element_depth) +
-         " verify=" + std::to_string(options.verify_candidates) +
-         (v2 ? " v2" : " v1");
+         " verify=" + std::to_string(options.verify_candidates);
 }
 
 TEST(FuzzMerge, EveryBoxReadRunsTheSameMerge) {
   util::ThreadPool pool(3);
   util::Rng rng(20261017);
   for (const GridSpec& grid : {GridSpec{2, 10}, GridSpec{3, 6}}) {
-    for (const bool v2 : {false, true}) {
-      const Fixture fixture(grid, 4000, rng.Next(), v2);
-      const ZkdIndex& index = fixture.index();
-      for (int q = 0; q < 40; ++q) {
-        const GridBox box = RandomBox(rng, grid);
-        for (const SearchOptions& options : OptionSweep(grid)) {
-          const std::string where = Where(box.ToString(), options, v2);
-          QueryStats range_stats;
-          const auto ids = index.RangeSearch(box, &range_stats, options);
-          EXPECT_EQ(range_stats.results, ids.size()) << where;
+    const Fixture fixture(grid, 4000, rng.Next());
+    const ZkdIndex& index = fixture.index();
+    for (int q = 0; q < 40; ++q) {
+      const GridBox box = RandomBox(rng, grid);
+      for (const SearchOptions& options : OptionSweep(grid)) {
+        const std::string where = Where(box.ToString(), options);
+        QueryStats range_stats;
+        const auto ids = index.RangeSearch(box, &range_stats, options);
+        EXPECT_EQ(range_stats.results, ids.size()) << where;
 
-          ZkdIndex::RangeCursor cursor(index, box, options);
-          EXPECT_EQ(Drain(cursor), ids) << where;
-          EXPECT_EQ(cursor.stats(), range_stats) << where;
+        ZkdIndex::RangeCursor cursor(index, box, options);
+        EXPECT_EQ(Drain(cursor), ids) << where;
+        EXPECT_EQ(cursor.stats(), range_stats) << where;
 
-          SearchOptions plain = options;
-          plain.merge = SearchOptions::Merge::kPlainMerge;
-          EXPECT_EQ(index.RangeSearch(box, nullptr, plain), ids) << where;
+        SearchOptions plain = options;
+        plain.merge = SearchOptions::Merge::kPlainMerge;
+        EXPECT_EQ(index.RangeSearch(box, nullptr, plain), ids) << where;
 
-          for (const int partitions : {1, 2, 4, 7}) {
-            EXPECT_EQ(index.ParallelRangeSearch(box, pool, partitions,
-                                                nullptr, options),
-                      ids)
-                << where << " partitions=" << partitions;
-          }
-
-          QueryStats count_stats;
-          EXPECT_EQ(index.CountBox(box, &count_stats, options), ids.size())
-              << where;
-          ExpectSharedCounters(count_stats, range_stats, where);
+        for (const int partitions : {1, 2, 4, 7}) {
+          EXPECT_EQ(index.ParallelRangeSearch(box, pool, partitions,
+                                              nullptr, options),
+                    ids)
+              << where << " partitions=" << partitions;
         }
+
+        QueryStats count_stats;
+        EXPECT_EQ(index.CountBox(box, &count_stats, options), ids.size())
+            << where;
+        ExpectSharedCounters(count_stats, range_stats, where);
       }
     }
   }
@@ -178,32 +171,28 @@ TEST(FuzzMerge, EveryObjectReadRunsTheSameMerge) {
   util::ThreadPool pool(3);
   util::Rng rng(5150);
   for (const GridSpec& grid : {GridSpec{2, 10}, GridSpec{3, 6}}) {
-    for (const bool v2 : {false, true}) {
-      const Fixture fixture(grid, 4000, rng.Next(), v2);
-      const ZkdIndex& index = fixture.index();
-      for (int q = 0; q < 20; ++q) {
-        const auto object = RandomObject(rng, grid);
-        for (const SearchOptions& options : OptionSweep(grid)) {
-          const std::string where = Where(object->Describe(), options, v2);
-          QueryStats search_stats;
-          const auto ids =
-              index.SearchObject(*object, &search_stats, options);
+    const Fixture fixture(grid, 4000, rng.Next());
+    const ZkdIndex& index = fixture.index();
+    for (int q = 0; q < 20; ++q) {
+      const auto object = RandomObject(rng, grid);
+      for (const SearchOptions& options : OptionSweep(grid)) {
+        const std::string where = Where(object->Describe(), options);
+        QueryStats search_stats;
+        const auto ids = index.SearchObject(*object, &search_stats, options);
 
-          ZkdIndex::RangeCursor cursor(index, *object, options);
-          EXPECT_EQ(Drain(cursor), ids) << where;
-          EXPECT_EQ(cursor.stats(), search_stats) << where;
+        ZkdIndex::RangeCursor cursor(index, *object, options);
+        EXPECT_EQ(Drain(cursor), ids) << where;
+        EXPECT_EQ(cursor.stats(), search_stats) << where;
 
-          SearchOptions plain = options;
-          plain.merge = SearchOptions::Merge::kPlainMerge;
-          EXPECT_EQ(index.SearchObject(*object, nullptr, plain), ids)
-              << where;
+        SearchOptions plain = options;
+        plain.merge = SearchOptions::Merge::kPlainMerge;
+        EXPECT_EQ(index.SearchObject(*object, nullptr, plain), ids) << where;
 
-          for (const int partitions : {1, 2, 4, 7}) {
-            EXPECT_EQ(index.ParallelSearchObject(*object, pool, partitions,
-                                                 nullptr, options),
-                      ids)
-                << where << " partitions=" << partitions;
-          }
+        for (const int partitions : {1, 2, 4, 7}) {
+          EXPECT_EQ(index.ParallelSearchObject(*object, pool, partitions,
+                                               nullptr, options),
+                    ids)
+              << where << " partitions=" << partitions;
         }
       }
     }
@@ -216,7 +205,6 @@ TEST(FuzzMerge, EveryObjectReadRunsTheSameMerge) {
 // the implementation that kept one private merge loop per read kind:
 // unifying the loops must not change what RANGE does.
 struct Golden {
-  bool v2;
   int depth;
   QueryStats sum;
 };
@@ -238,16 +226,13 @@ QueryStats Stats(uint64_t leaf, uint64_t internal, uint64_t scanned,
 
 TEST(FuzzMerge, RangeStatsMatchPinnedGolden) {
   const Golden goldens[] = {
-      {false, -1, Stats(620, 1572, 6288, 2840, 22442, 1572, 3448, 12400)},
-      {false, 6, Stats(1125, 176, 19229, 238, 1684, 176, 3448, 22500)},
-      {false, 12, Stats(628, 795, 6808, 2087, 8900, 795, 3448, 12560)},
-      {true, -1, Stats(156, 1572, 6288, 2840, 22442, 1572, 3448, 103124)},
-      {true, 6, Stats(164, 176, 19229, 238, 1684, 176, 3448, 108592)},
-      {true, 12, Stats(156, 795, 6808, 2087, 8900, 795, 3448, 103124)},
+      {-1, Stats(620, 1572, 6288, 2840, 22442, 1572, 3448, 12400)},
+      {6, Stats(1125, 176, 19229, 238, 1684, 176, 3448, 22500)},
+      {12, Stats(628, 795, 6808, 2087, 8900, 795, 3448, 12560)},
   };
   const GridSpec grid{2, 10};
   for (const Golden& golden : goldens) {
-    const Fixture fixture(grid, 5000, 9, golden.v2);
+    const Fixture fixture(grid, 5000, 9);
     util::Rng rng(2024);
     QueryStats sum;
     for (int q = 0; q < 100; ++q) {
@@ -263,8 +248,7 @@ TEST(FuzzMerge, RangeStatsMatchPinnedGolden) {
       fixture.index().RangeSearch(box, &stats, options);
       sum += stats;
     }
-    EXPECT_EQ(sum, golden.sum)
-        << (golden.v2 ? "v2" : "v1") << " depth=" << golden.depth;
+    EXPECT_EQ(sum, golden.sum) << "depth=" << golden.depth;
   }
 }
 

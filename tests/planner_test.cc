@@ -274,6 +274,42 @@ TEST(PlannerTest, JoinPlanMatchesDirectDecomposeAndJoin) {
   }
 }
 
+// Both sides of a planned join of two object relations carry `id`; the
+// output keeps r's as `id` and renames s's to `s_id`, so each side's id is
+// reachable by name and lands where the positional join puts it.
+TEST(PlannerTest, JoinOutputReachesBothIdsByName) {
+  const PlannerFixture fx;
+  relational::ObjectCatalog catalog;
+  const Relation r_rel = MakeBoxRelation(&catalog, 30, 10, 30, 25);
+  const Relation s_rel = MakeBoxRelation(&catalog, 30, 20, 30, 25);
+  const Relation r_elems = relational::DecomposeRelation(
+      fx.grid, r_rel, "id", catalog, "zr");
+  const Relation s_elems = relational::DecomposeRelation(
+      fx.grid, s_rel, "id", catalog, "zs");
+  const Relation expected =
+      relational::SpatialJoin(r_elems, "zr", s_elems, "zs");
+  ASSERT_GT(expected.size(), 0u);
+  const int s_id_position = r_elems.schema().column_count();
+
+  PlannerContext ctx = fx.Context();
+  ctx.catalog = &catalog;
+  Query q = Query::SpatialJoin({&r_rel, "id", ""}, {&s_rel, "id", ""});
+  PlannedQuery planned = Plan(q, ctx);
+  const ExecutionResult result = Execute(*planned.root);
+  const Schema& schema = result.rows.schema();
+  EXPECT_TRUE(schema.NamesUnique());
+  const int r_id = schema.IndexOf("id");
+  const int s_id = schema.IndexOf("s_id");
+  ASSERT_EQ(r_id, 0);
+  ASSERT_EQ(s_id, s_id_position);
+  ASSERT_EQ(result.rows.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_TRUE(ValueEquals(result.rows.row(i)[r_id], expected.row(i)[0]));
+    EXPECT_TRUE(ValueEquals(result.rows.row(i)[s_id],
+                            expected.row(i)[s_id_position]));
+  }
+}
+
 TEST(PlannerTest, DisjointJoinBoundsPlanToEmptyResult) {
   const PlannerFixture fx;
   relational::ObjectCatalog catalog;

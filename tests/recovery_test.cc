@@ -1,7 +1,8 @@
 // Recovery unit tests: redo of committed batches, discard of uncommitted
 // tails, idempotent double-recovery, checkpoint truncation, torn-page
 // repair, and the full DurableIndex reopen path (including planning
-// queries against a recovered index).
+// queries against a recovered index, and refusing a page of another leaf
+// layout).
 
 #include <algorithm>
 #include <string>
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "btree/node.h"
 #include "index/cost_model.h"
 #include "index/durable_index.h"
 #include "query/executor.h"
@@ -425,6 +427,65 @@ TEST(DurableIndexTest, RefusesAForeignDatabase) {
   const zorder::GridSpec grid{2, 8};
   DurableIndex db(grid, tmp.path());
   EXPECT_FALSE(db.ok());
+}
+
+// A page on the leaf chain whose kind byte names another layout (kind 2,
+// the compressed leaf that earlier versions could write) refuses the
+// open: read as an internal node, its entry bytes would route as child
+// page ids. The same file with the byte restored opens and answers as
+// before.
+TEST(DurableIndexTest, RefusesALeafOfAnotherLayout) {
+  testutil::TempFile tmp("durable_leaf_kind");
+  const zorder::GridSpec grid{2, 8};
+  DurableIndex::Options options;
+  options.config.leaf_capacity = 10;
+  options.truncate = true;
+  util::Rng rng(9400);
+  const auto box = GridBox::Make2D(20, 180, 30, 200);
+  std::vector<uint64_t> expected;
+  {
+    DurableIndex db(grid, tmp.path(), options);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(db.Apply(InsertBatch(&rng, 256, 0, 200)));
+    ASSERT_TRUE(db.Checkpoint());
+    expected = db.index().RangeSearch(box);
+  }
+  ASSERT_FALSE(expected.empty());
+
+  // Inserts only, so every non-empty leaf page in the file is on the chain.
+  std::vector<PageId> leaves;
+  {
+    FilePager base(tmp.path());
+    for (PageId id = 0; id < base.page_count(); ++id) {
+      Page page;
+      base.Read(id, &page);
+      if (page.Read<uint8_t>(btree::kKindOffset) == btree::kLeafKind &&
+          page.Read<uint16_t>(btree::kCountOffset) > 0) {
+        leaves.push_back(id);
+      }
+    }
+  }
+  ASSERT_GE(leaves.size(), 3u);
+  const PageId victim = leaves[leaves.size() / 2];
+  auto stamp_kind = [&](uint8_t kind) {
+    FilePager base(tmp.path());
+    Page page;
+    base.Read(victim, &page);
+    page.Write<uint8_t>(btree::kKindOffset, kind);
+    base.Write(victim, page);
+    ASSERT_TRUE(base.Sync());
+  };
+
+  options.truncate = false;
+  stamp_kind(2);
+  {
+    DurableIndex db(grid, tmp.path(), options);
+    EXPECT_FALSE(db.ok());
+  }
+  stamp_kind(btree::kLeafKind);
+  DurableIndex db(grid, tmp.path(), options);
+  ASSERT_TRUE(db.ok());
+  EXPECT_EQ(db.index().RangeSearch(box), expected);
 }
 
 TEST(DurableIndexTest, RefusesAMismatchedGrid) {
