@@ -131,30 +131,6 @@ if [ -f BENCH_commit.json ]; then
     || { echo "FAIL: 4-writer scaling below 2x on a multi-core host"; exit 1; }
 fi
 
-# BENCH_join.json: the zones distance join must stay exact and efficient.
-# Every thread-sweep row and the all-pairs oracle slice must match the
-# serial pair stream bit for bit; the candidate/output ratio must hold the
-# recorded budget (a broken zone map degenerates toward the cross product
-# and blows it immediately); and serial throughput must clear both its own
-# recorded floor and the floor the committed baseline recorded.
-if [ -f BENCH_join.json ]; then
-  jq -e '([.join.rows[].identical] | all) and .join.oracle.identical' \
-    BENCH_join.json > /dev/null \
-    || { echo "FAIL: distance join diverged from serial/oracle"; exit 1; }
-  jq -e '.join.candidate_ratio <= .join.candidate_budget' BENCH_join.json \
-    > /dev/null \
-    || { echo "FAIL: join candidate ratio above budget"; exit 1; }
-  jq -e '.join.points_per_s >= .join.floor_points_per_s' BENCH_join.json \
-    > /dev/null \
-    || { echo "FAIL: join throughput below its own recorded floor"; exit 1; }
-  if committed=$(git show HEAD:BENCH_join.json 2>/dev/null); then
-    echo "$committed" | jq -es --slurpfile fresh BENCH_join.json \
-      '.[0].join.floor_points_per_s as $floor |
-       $fresh[0].join.points_per_s >= $floor' > /dev/null \
-      || { echo "FAIL: join throughput regressed below committed floor"; exit 1; }
-  fi
-fi
-
 if [ "${CHECK_SKIP_SANITIZERS:-0}" != "1" ]; then
   # ASan + UBSan over the full suite, with the invariant audits compiled in
   # so the sanitizers run over audited code paths. The fuzz drivers (ctest

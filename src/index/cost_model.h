@@ -77,11 +77,10 @@ class CostModel {
                                  const geometry::GridBox& s_box,
                                  int max_element_depth = -1) const;
 
-  /// An estimate for a zones-style distance join.
+  /// An estimate for a zones-style distance join. The join reads no
+  /// pages: both zone sorts run in memory, so only its zone and candidate
+  /// counts are priced.
   struct DistanceJoinEstimate {
-    /// Predicted scratch pages of the two zone sorts (written + read; 0
-    /// when both sides fit the sort budget in memory).
-    uint64_t pages = 0;
     /// Zones the grid is cut into at the chosen height.
     uint64_t zones = 0;
     /// Predicted candidate pairs (distance tests) under a
@@ -92,12 +91,10 @@ class CostModel {
 
   /// Prices DistanceJoin(R, S, radius) on `grid` analytically — no index
   /// needed, the join runs on raw point sets. `zone_height` 0 means the
-  /// join's max(1, radius) default; `sort_budget_entries` is the join's
-  /// in-memory sort buffer (decides whether the sorts spill).
+  /// join's max(1, radius) default.
   static DistanceJoinEstimate EstimateDistanceJoinPages(
       const zorder::GridSpec& grid, uint64_t r_rows, uint64_t s_rows,
-      uint64_t radius, uint64_t zone_height = 0,
-      uint64_t sort_budget_entries = 1u << 20);
+      uint64_t radius, uint64_t zone_height = 0);
 
   /// Picks a decomposition depth cap for `box` from the Section 5.1
   /// element-count analysis: the finest depth whose worst-case element

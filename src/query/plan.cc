@@ -518,8 +518,6 @@ class DistanceJoinNode final : public MaterializedNode {
           result_.Add(std::move(t));
         },
         &jstats, options);
-    // EXPLAIN's est-vs-actual pages: what the zone sort actually spilled.
-    stats_.actual_pages = jstats.sort_pages;
     stats_.actual_elements = jstats.candidate_pairs;
     PROBE_ASSERT_MSG(jstats.pairs == result_.size(),
                      "distance-join pair count disagrees with output size");

@@ -407,7 +407,6 @@ PlannedQuery PlanDistanceJoin(const Query& query, const PlannerContext& ctx,
                        query.dj_zone_height, pool, partitions);
   NodeStats& stats = planned.root->stats();
   stats.has_estimate = true;
-  stats.est_pages = estimate.pages;
   stats.est_elements = estimate.candidate_pairs;
   stats.detail = "radius=" + std::to_string(query.dj_radius) +
                  " est_zones=" + std::to_string(estimate.zones);
@@ -419,7 +418,6 @@ PlannedQuery PlanDistanceJoin(const Query& query, const PlannerContext& ctx,
   }
   planned.summary = "distance-join: " + stats.op +
                     " radius=" + std::to_string(query.dj_radius) +
-                    " est_pages=" + std::to_string(estimate.pages) +
                     " est_candidates=" +
                     std::to_string(estimate.candidate_pairs);
   if (partitions > 0) {

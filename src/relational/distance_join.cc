@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 
-#include "btree/external_sort.h"
-#include "btree/node.h"
 #include "btree/simd_filter.h"
-#include "btree/zkey.h"
 #include "probe/check.h"
-#include "storage/pager.h"
 
 namespace probe::relational {
 
@@ -17,66 +14,149 @@ namespace {
 /// One side of the join after zoning and sorting: a CSR layout over the
 /// non-empty zones, with parallel coordinate/id arrays in (zone, x,
 /// tie-break) order. uint64_t coordinate arrays feed the SIMD kernel
-/// directly.
+/// directly; they are left uninitialized until the sort's lanes fill them,
+/// so their pages are first touched in parallel.
 struct ZonedSide {
   std::vector<uint64_t> zone_ids;  // sorted, non-empty zones only
   std::vector<size_t> offsets;     // zone_ids.size() + 1 row offsets
-  std::vector<uint64_t> xs;        // sorted ascending within each zone
-  std::vector<uint64_t> ys;
-  std::vector<uint64_t> ids;
-
-  size_t rows() const { return xs.size(); }
+  size_t rows = 0;
+  std::unique_ptr<uint64_t[]> xs;  // sorted ascending within each zone
+  std::unique_ptr<uint64_t[]> ys;
+  std::unique_ptr<uint64_t[]> ids;
 };
 
-/// Streams `points` through the external sorter in (zone, x) order and
-/// materializes the CSR side. The sort key packs (zone << d) | x — integer
-/// order on the packed key is exactly (zone, x) order because both halves
-/// are below 2^d — and the payload packs (id << d) | y so ties in (zone, x)
-/// still sort deterministically (by id, then y). `sort` accumulates the
-/// spill statistics across both sides.
-ZonedSide BuildSide(std::span<const index::PointRecord> points, int d,
-                    uint64_t h, size_t budget,
-                    btree::ExternalSortStats* sort) {
-  const uint64_t mask = (1ULL << d) - 1;  // d <= 32 < 64
-  storage::MemPager scratch;
-  btree::ExternalSorter sorter(&scratch, budget);
-  for (const auto& p : points) {
-    const uint64_t x = p.point[0];
-    const uint64_t y = p.point[1];
-    PROBE_ASSERT_MSG(x <= mask && y <= mask,
-                     "distance join point off the grid");
-    if (p.id >> (64 - d)) {
-      check::AuditFailure(__FILE__, __LINE__, "id < 2^(64 - bits_per_dim)",
-                          "distance join id too wide to zone-sort");
-    }
-    const uint64_t zone = y / h;
-    sorter.Add(btree::LeafEntry{
-        btree::ZKey{(zone << d) | x, 64},
-        (p.id << d) | y,
-    });
-  }
+/// One sort record: key (zone << d) | x, payload (id << d) | y. Integer
+/// order on the key is exactly (zone, x) order because both halves are
+/// below 2^d, and the payload breaks (zone, x) ties deterministically (by
+/// id, then y).
+struct ZoneRecord {
+  uint64_t key;
+  uint64_t payload;
+};
 
+bool RecordLess(const ZoneRecord& a, const ZoneRecord& b) {
+  return a.key != b.key ? a.key < b.key : a.payload < b.payload;
+}
+
+/// Cap on the sort's buckets (runs of 2^shift consecutive zones), so a
+/// d = 32, h = 1 join — 2^32 zones — never allocates per zone.
+constexpr uint64_t kMaxBuckets = uint64_t{1} << 17;
+
+/// Runs fn(i) for every i in [0, n): on the pool when there is one,
+/// inline otherwise.
+void ForEach(util::ThreadPool* pool, size_t n,
+             const std::function<void(size_t)>& fn) {
+  if (pool != nullptr && n > 1) {
+    pool->ParallelFor(n, fn);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) fn(i);
+}
+
+/// Sorts `points` into (zone, x, tie-break) order and materializes the CSR
+/// side with one in-memory bucket sort: bucket = zone >> shift is monotone
+/// in the key, so histogramming contiguous input slices, scattering in
+/// (bucket, slice) order and std::sort-ing each bucket yields the full
+/// (key, payload) order. Every pass but the prefix sum and the zone scan
+/// runs on `pool` (or inline when it is null); the result does not depend
+/// on the lane count, because (key, payload) is a total order on distinct
+/// records.
+ZonedSide BuildSide(std::span<const index::PointRecord> points, int d,
+                    uint64_t h, util::ThreadPool* pool) {
+  const uint64_t mask = (1ULL << d) - 1;  // d <= 32 < 64
+  const size_t n = points.size();
+  const uint64_t max_zone = mask / h;
+  int shift = 0;
+  while ((max_zone >> shift) >= kMaxBuckets) ++shift;
+  const size_t buckets = static_cast<size_t>(max_zone >> shift) + 1;
+  const size_t slices =
+      pool != nullptr ? std::min(static_cast<size_t>(pool->lanes()),
+                                 std::max<size_t>(1, n))
+                      : 1;
+  const size_t slice_rows = (n + slices - 1) / slices;
+
+  // Histogram: counts[slice * buckets + bucket].
+  std::vector<size_t> counts(slices * buckets);
+  ForEach(pool, slices, [&](size_t slice) {
+    size_t* mine = counts.data() + slice * buckets;
+    const size_t end = std::min(n, (slice + 1) * slice_rows);
+    for (size_t i = slice * slice_rows; i < end; ++i) {
+      const auto& p = points[i];
+      PROBE_ASSERT_MSG(p.point[0] <= mask && p.point[1] <= mask,
+                       "distance join point off the grid");
+      if (p.id >> (64 - d)) {
+        check::AuditFailure(__FILE__, __LINE__, "id < 2^(64 - bits_per_dim)",
+                            "distance join id too wide to zone-sort");
+      }
+      ++mine[(p.point[1] / h) >> shift];
+    }
+  });
+
+  // Prefix sum in (bucket, slice) order: each count becomes its slice's
+  // scatter cursor into the bucket.
+  std::vector<size_t> bucket_begin(buckets + 1);
+  size_t at = 0;
+  for (size_t b = 0; b < buckets; ++b) {
+    bucket_begin[b] = at;
+    for (size_t slice = 0; slice < slices; ++slice) {
+      size_t& c = counts[slice * buckets + b];
+      const size_t count = c;
+      c = at;
+      at += count;
+    }
+  }
+  bucket_begin[buckets] = at;
+
+  // Scatter.
+  const auto records = std::make_unique_for_overwrite<ZoneRecord[]>(n);
+  ForEach(pool, slices, [&](size_t slice) {
+    size_t* cursor = counts.data() + slice * buckets;
+    const size_t end = std::min(n, (slice + 1) * slice_rows);
+    for (size_t i = slice * slice_rows; i < end; ++i) {
+      const auto& p = points[i];
+      const uint64_t zone = p.point[1] / h;
+      records[cursor[zone >> shift]++] =
+          ZoneRecord{(zone << d) | p.point[0], (p.id << d) | p.point[1]};
+    }
+  });
+
+  // Sort each bucket, over contiguous bucket ranges of about equal rows,
+  // and unpack the sorted records into the coordinate/id arrays.
   ZonedSide side;
-  side.xs.reserve(points.size());
-  side.ys.reserve(points.size());
-  side.ids.reserve(points.size());
-  sorter.Drain([&](const btree::LeafEntry& e) {
-    const uint64_t zone = e.key.raw >> d;
+  side.rows = n;
+  side.xs = std::make_unique_for_overwrite<uint64_t[]>(n);
+  side.ys = std::make_unique_for_overwrite<uint64_t[]>(n);
+  side.ids = std::make_unique_for_overwrite<uint64_t[]>(n);
+  const size_t tasks = pool != nullptr ? std::min(buckets, 4 * slices) : 1;
+  const auto first_bucket = [&](size_t task) {
+    return static_cast<size_t>(
+        std::lower_bound(bucket_begin.begin(), bucket_begin.end(),
+                         task * n / tasks) -
+        bucket_begin.begin());
+  };
+  ForEach(pool, tasks, [&](size_t task) {
+    const size_t lo = first_bucket(task);
+    const size_t hi = first_bucket(task + 1);
+    for (size_t b = lo; b < hi; ++b) {
+      std::sort(records.get() + bucket_begin[b],
+                records.get() + bucket_begin[b + 1], RecordLess);
+    }
+    for (size_t i = bucket_begin[lo]; i < bucket_begin[hi]; ++i) {
+      side.xs[i] = records[i].key & mask;
+      side.ys[i] = records[i].payload & mask;
+      side.ids[i] = records[i].payload >> d;
+    }
+  });
+
+  // Zones.
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t zone = records[i].key >> d;
     if (side.zone_ids.empty() || side.zone_ids.back() != zone) {
       side.zone_ids.push_back(zone);
-      side.offsets.push_back(side.xs.size());
+      side.offsets.push_back(i);
     }
-    side.xs.push_back(e.key.raw & mask);
-    side.ys.push_back(e.payload & mask);
-    side.ids.push_back(e.payload >> d);
-  });
-  side.offsets.push_back(side.xs.size());
-
-  sort->runs += sorter.stats().runs;
-  sort->pages_written += sorter.stats().pages_written;
-  sort->pages_read += sorter.stats().pages_read;
-  sort->records += sorter.stats().records;
-  sort->spilled_records += sorter.stats().spilled_records;
+  }
+  side.offsets.push_back(n);
   return side;
 }
 
@@ -122,18 +202,18 @@ void ProbeRows(const ZonedSide& r, size_t begin, size_t end,
          ++zi) {
       const size_t off = s.offsets[static_cast<size_t>(zi)];
       const size_t zone_end = s.offsets[static_cast<size_t>(zi) + 1];
-      const auto first = s.xs.begin() + static_cast<ptrdiff_t>(off);
-      const auto last = s.xs.begin() + static_cast<ptrdiff_t>(zone_end);
+      const auto first = s.xs.get() + static_cast<ptrdiff_t>(off);
+      const auto last = s.xs.get() + static_cast<ptrdiff_t>(zone_end);
       // The x-window [qx - radius, qx + radius] inside this zone.
       const size_t lo = qx > radius
                             ? static_cast<size_t>(
                                   std::lower_bound(first, last, qx - radius) -
-                                  s.xs.begin())
+                                  s.xs.get())
                             : off;
       const size_t hi = static_cast<size_t>(
           std::upper_bound(first + static_cast<ptrdiff_t>(lo - off), last,
                            xmax) -
-          s.xs.begin());
+          s.xs.get());
       *candidates += hi - lo;
 
       if (simd_ok) {
@@ -141,7 +221,7 @@ void ProbeRows(const ZonedSide& r, size_t begin, size_t end,
           const int len = static_cast<int>(
               std::min(hi - pos, static_cast<size_t>(kChunk)));
           const int m = btree::CollectWithinDist2(
-              s.xs.data() + pos, s.ys.data() + pos, len, qx, qy, r2_clamped,
+              s.xs.get() + pos, s.ys.get() + pos, len, qx, qy, r2_clamped,
               hits);
           for (int j = 0; j < m; ++j) {
             ++*pairs;
@@ -183,17 +263,14 @@ void DistanceJoin(std::span<const index::PointRecord> r,
   const uint64_t h =
       options.zone_height != 0 ? options.zone_height
                                : std::max<uint64_t>(1, radius);
-  const size_t budget = std::max<size_t>(1, options.sort_budget_entries);
-
-  btree::ExternalSortStats sort;
-  const ZonedSide rs = BuildSide(r, d, h, budget, &sort);
-  const ZonedSide ss = BuildSide(s, d, h, budget, &sort);
+  const ZonedSide rs = BuildSide(r, d, h, options.pool);
+  const ZonedSide ss = BuildSide(s, d, h, options.pool);
 
   uint64_t candidates = 0;
   uint64_t pairs = 0;
   size_t partitions = 1;
 
-  const size_t rows = rs.rows();
+  const size_t rows = rs.rows;
   int want = options.partitions;
   if (options.pool != nullptr && want <= 0) want = options.pool->lanes();
   if (options.pool != nullptr && want > 1 && rows > 1) {
@@ -229,15 +306,13 @@ void DistanceJoin(std::span<const index::PointRecord> r,
   }
 
   if (stats != nullptr) {
-    stats->r_rows = rs.rows();
-    stats->s_rows = ss.rows();
+    stats->r_rows = rs.rows;
+    stats->s_rows = ss.rows;
     stats->zone_height = h;
     stats->r_zones = rs.zone_ids.size();
     stats->s_zones = ss.zone_ids.size();
     stats->candidate_pairs = candidates;
     stats->pairs = pairs;
-    stats->sort_pages = sort.pages_written + sort.pages_read;
-    stats->sort_runs = sort.runs;
     stats->partitions = partitions;
   }
 }

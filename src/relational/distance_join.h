@@ -19,9 +19,11 @@
 /// repo's machinery:
 ///
 ///  1. Bucket both inputs into horizontal *zones* of height ~r
-///     (zone = y / h) and stream each side through the external sorter in
-///     (zone, x) order — "existing sort utilities" doing the heavy
-///     lifting, exactly as Section 4 promises for z values.
+///     (zone = y / h) and sort each side in (zone, x) order on integer
+///     keys — "existing sort utilities" doing the heavy lifting, exactly
+///     as Section 4 promises for z values. The sort is one in-memory
+///     bucket sort over runs of consecutive zones (histogram, scatter,
+///     std::sort per bucket), run on the pool when one is given.
 ///  2. Merge: for each R point, only the S zones within r vertically can
 ///     hold partners; within each such zone the partners lie in the
 ///     x-window [x - r, x + r], found by binary search over the zone's
@@ -57,11 +59,8 @@ struct DistanceJoinOptions {
   /// Zone height in cells; 0 picks max(1, radius) — the Gray et al.
   /// choice, which bounds the probe to at most three neighbor zones.
   uint64_t zone_height = 0;
-  /// In-memory buffer of each side's external sort; inputs beyond it
-  /// spill sorted runs to a scratch pager.
-  size_t sort_budget_entries = 1u << 20;
-  /// When set, the zone merge is partitioned over the pool; the output
-  /// is bitwise-identical to the serial merge.
+  /// When set, both sides' zone sorts and the zone merge run on the pool;
+  /// the output is bitwise-identical to the serial join.
   util::ThreadPool* pool = nullptr;
   /// Merge partitions; <= 0 targets one per pool lane.
   int partitions = 0;
@@ -81,10 +80,9 @@ struct DistanceJoinStats {
   uint64_t candidate_pairs = 0;
   /// Pairs emitted (distance <= radius).
   uint64_t pairs = 0;
-  /// External-sort I/O over both sides (pages written + read; 0 when both
-  /// sides fit the sort budget in memory).
+  /// Always 0: the zone sort runs in memory and spills nothing. Kept
+  /// because existing reports read them.
   uint64_t sort_pages = 0;
-  /// Sorted runs spilled over both sides.
   uint64_t sort_runs = 0;
   /// Merge partitions actually executed (1 for the serial merge).
   size_t partitions = 1;

@@ -7,6 +7,8 @@
 #include "relational/distance_join.h"
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -206,28 +208,184 @@ TEST(DistanceJoinTest, SerialAndParallelAreBitwiseIdentical) {
   }
 }
 
-TEST(DistanceJoinTest, SpilledSortMatchesInMemory) {
-  // Force the external sorter to spill runs (tiny budget) — the join must
-  // not care where the sorted stream came from.
-  const GridSpec grid{2, 9};
-  DataGenConfig config;
-  config.count = 5000;
-  config.seed = 101;
-  const auto r = GeneratePoints(grid, config);
-  config.seed = 102;
-  const auto s = GeneratePoints(grid, config);
+/// The join's documented order, from a plain full sort: each side sorted
+/// on the packed (key, payload) = ((zone << d) | x, (id << d) | y), then
+/// every R row in that order with its partners in S's order. Filtering S's
+/// whole sorted sequence by distance yields exactly the zone-then-x-window
+/// probe order, since every partner lies within the probed zones.
+std::vector<IdPair> FullSortJoin(const std::vector<PointRecord>& r,
+                                 const std::vector<PointRecord>& s,
+                                 const GridSpec& grid, uint64_t radius,
+                                 uint64_t h) {
+  const int d = grid.bits_per_dim;
+  const auto sorted = [&](const std::vector<PointRecord>& side) {
+    std::vector<std::pair<uint64_t, uint64_t>> keys;
+    for (const auto& p : side) {
+      keys.emplace_back(((p.point[1] / h) << d) | p.point[0],
+                        (p.id << d) | p.point[1]);
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+  const uint64_t mask = (1ULL << d) - 1;
+  const unsigned __int128 r2 = static_cast<unsigned __int128>(radius) * radius;
+  std::vector<IdPair> out;
+  const auto s_sorted = sorted(s);
+  for (const auto& [rk, rp] : sorted(r)) {
+    for (const auto& [sk, sp] : s_sorted) {
+      const uint64_t rx = rk & mask, ry = rp & mask;
+      const uint64_t sx = sk & mask, sy = sp & mask;
+      const uint64_t dx = rx > sx ? rx - sx : sx - rx;
+      const uint64_t dy = ry > sy ? ry - sy : sy - ry;
+      if (static_cast<unsigned __int128>(dx) * dx +
+              static_cast<unsigned __int128>(dy) * dy <=
+          r2) {
+        out.push_back(IdPair{rp >> d, sp >> d});
+      }
+    }
+  }
+  return out;
+}
 
-  const auto in_memory = DistanceJoinPairs(r, s, grid, 4);
+TEST(DistanceJoinTest, ZoneSortMatchesAFullSort) {
+  // The join's zone sort buckets runs of consecutive zones and sorts each
+  // bucket, serially or on the pool. Its output must equal a plain full
+  // sort's, order-exactly, on every lane count — including when the
+  // bucket shift is forced above 0 (d = 32, h = 1: 2^32 zones), when one
+  // bucket holds everything, and on (x, y) ties that only the id-then-y
+  // payload order breaks.
+  struct Case {
+    const char* name;
+    GridSpec grid;
+    uint64_t radius;
+    uint64_t h;  // 0 = the join's default
+    std::vector<PointRecord> r, s;
+  };
+  std::vector<Case> cases;
+  util::Rng rng(1717);
+  const auto random_points = [&](int d, size_t n, uint64_t x0, uint64_t y0,
+                                 uint64_t span) {
+    std::vector<PointRecord> out;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t x = x0 + rng.NextBelow(span);
+      const uint64_t y = y0 + rng.NextBelow(span);
+      out.push_back({geometry::GridPoint({static_cast<uint32_t>(x),
+                                          static_cast<uint32_t>(y)}),
+                     rng.NextBelow(uint64_t{1} << (64 - d))});
+    }
+    return out;
+  };
+  {
+    // d = 32 with h = 1: points in two clusters far apart in y, so rows
+    // land in distinct buckets of 2^shift zones each.
+    Case c{"d=32 h=1", GridSpec{2, 32}, 3, 1, {}, {}};
+    for (const uint64_t y0 : {uint64_t{5}, uint64_t{1} << 31,
+                              (uint64_t{1} << 32) - 300}) {
+      auto r = random_points(32, 700, uint64_t{1} << 20, y0, 300);
+      auto s = random_points(32, 700, uint64_t{1} << 20, y0, 300);
+      c.r.insert(c.r.end(), r.begin(), r.end());
+      c.s.insert(c.s.end(), s.begin(), s.end());
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    // Every point in one zone: a single bucket holds everything.
+    Case c{"one zone", GridSpec{2, 12}, 6, 64, {}, {}};
+    c.r = random_points(12, 2000, 0, 128, 64);
+    c.s = random_points(12, 2000, 0, 128, 64);
+    cases.push_back(std::move(c));
+  }
+  {
+    // Duplicate (x, y) under many ids, shared x under many (id, y), and
+    // one id at two y, all fed in descending (id, y) order: only the
+    // payload comparison puts them in ascending (id, y) order.
+    Case c{"ties", GridSpec{2, 10}, 2, 0, {}, {}};
+    for (uint64_t i = 0; i < 300; ++i) {
+      const uint64_t id = 1000 - i;
+      const auto y = static_cast<uint32_t>(500 + i % 2);
+      c.r.push_back({geometry::GridPoint({400, 500}), id});
+      c.r.push_back({geometry::GridPoint({401, y}), id + 2000});
+      c.s.push_back({geometry::GridPoint({400, y}), id});
+      c.s.push_back({geometry::GridPoint({402, 500}), id + 2000});
+      // One id at two y in one zone: y breaks the tie.
+      c.s.push_back({geometry::GridPoint({403, 501}), id + 4000});
+      c.s.push_back({geometry::GridPoint({403, 500}), id + 4000});
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    Case c{"empty r", GridSpec{2, 10}, 4, 0, {}, {}};
+    c.s = random_points(10, 500, 0, 0, 1024);
+    cases.push_back(std::move(c));
+    Case e{"empty s", GridSpec{2, 10}, 4, 0, {}, {}};
+    e.r = random_points(10, 500, 0, 0, 1024);
+    cases.push_back(std::move(e));
+  }
 
-  DistanceJoinOptions options;
-  options.sort_budget_entries = 64;
+  for (const Case& c : cases) {
+    const uint64_t h = c.h != 0 ? c.h : std::max<uint64_t>(1, c.radius);
+    const auto expect = FullSortJoin(c.r, c.s, c.grid, c.radius, h);
+    if (!c.r.empty() && !c.s.empty()) {
+      ASSERT_FALSE(expect.empty()) << c.name;
+    }
+    for (const int lanes : {0, 1, 2, 4, 7}) {  // 0 = no pool
+      std::unique_ptr<util::ThreadPool> pool;
+      DistanceJoinOptions options;
+      options.zone_height = c.h;
+      if (lanes > 0) {
+        pool = std::make_unique<util::ThreadPool>(lanes - 1);
+        options.pool = pool.get();
+      }
+      DistanceJoinStats stats;
+      const auto got =
+          DistanceJoinPairs(c.r, c.s, c.grid, c.radius, &stats, options);
+      ASSERT_EQ(got.size(), expect.size()) << c.name << " lanes=" << lanes;
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(got[i] == expect[i])
+            << c.name << " lanes=" << lanes << " i=" << i << " got=("
+            << got[i].r_id << "," << got[i].s_id << ") expect=("
+            << expect[i].r_id << "," << expect[i].s_id << ")";
+      }
+      EXPECT_EQ(stats.sort_pages, 0u);
+      EXPECT_EQ(stats.sort_runs, 0u);
+    }
+  }
+}
+
+TEST(DistanceJoinTest, CatalogScaleCandidatesStayBoundedAndParallelIsIdentical) {
+  // A paired catalog of 200k x 200k at r = 8, at about the crossmatch
+  // density. Zones of height r bound each probe to a (2r+1) x 3h window,
+  // so the tested pairs stay within a small multiple of the output; a
+  // broken zone map degenerates toward the cross product and trips the
+  // ratio at once. The parallel join must reproduce the serial pair
+  // stream, order included, at this size too.
+  const GridSpec grid{2, 18};
+  workload::PairedDataGenConfig config;
+  config.base.count = 200000;
+  config.base.seed = 4242;
+  config.match_fraction = 0.5;
+  config.match_sigma = 4.0;
+  const auto data = GeneratePairedPoints(grid, config);
+
   DistanceJoinStats stats;
-  const auto spilled = DistanceJoinPairs(r, s, grid, 4, &stats, options);
-  EXPECT_GT(stats.sort_runs, 0u);
-  EXPECT_GT(stats.sort_pages, 0u);
-  ASSERT_EQ(spilled.size(), in_memory.size());
-  for (size_t i = 0; i < spilled.size(); ++i) {
-    ASSERT_TRUE(spilled[i] == in_memory[i]) << i;
+  const auto serial = DistanceJoinPairs(data.r, data.s, grid, 8, &stats);
+  ASSERT_GT(stats.pairs, 0u);
+  const double ratio = static_cast<double>(stats.candidate_pairs) /
+                       static_cast<double>(stats.pairs);
+  EXPECT_LE(ratio, 16.0) << "candidates=" << stats.candidate_pairs
+                         << " pairs=" << stats.pairs;
+
+  for (const int threads : {1, 3}) {
+    util::ThreadPool pool(threads);
+    DistanceJoinOptions options;
+    options.pool = &pool;
+    const auto parallel =
+        DistanceJoinPairs(data.r, data.s, grid, 8, nullptr, options);
+    ASSERT_EQ(parallel.size(), serial.size()) << threads;
+    for (size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_TRUE(parallel[i] == serial[i]) << "threads=" << threads
+                                            << " i=" << i;
+    }
   }
 }
 
